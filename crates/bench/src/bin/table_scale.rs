@@ -7,10 +7,11 @@
 //! ```
 //!
 //! For each corpus size the table reports parse, elaborate,
-//! constraint-check, lint, and full-build wall time, plus the combined
-//! elaborate+check time of the legacy (String-keyed, full-re-pass) engine
-//! on the same corpus and the resulting speedup. Gates, all enforced on
-//! exit code:
+//! constraint-check, lint, and full-build wall time, the full build's own
+//! schedule, compile, objcopy and link phases plus its unattributed rest
+//! (build wall minus every phase), and the combined elaborate+check time
+//! of the legacy (String-keyed, full-re-pass) engine on the same corpus and
+//! the resulting speedup. Gates, all enforced on exit code:
 //!
 //! * elaboration must produce exactly the corpus's expected instance count;
 //! * new and legacy engines must agree byte-for-byte on the canonical
@@ -84,6 +85,13 @@ struct Row {
     check_ms: f64,
     lint_ms: f64,
     full_build_ms: f64,
+    /// The full build's schedule, compile, objcopy and link phases.
+    schedule_ms: f64,
+    compile_ms: f64,
+    objcopy_ms: f64,
+    link_ms: f64,
+    /// Full-build wall time no phase accounts for.
+    other_ms: f64,
     legacy_ms: Option<f64>,
     speedup: Option<f64>,
     identical_to_legacy: Option<bool>,
@@ -115,8 +123,12 @@ fn measure(n: usize, seed: u64, jobs: usize, run_legacy: bool) -> Row {
     let lint_ms = ms(t);
 
     let t = Instant::now();
-    knit::build(&program, &corpus.tree, &opts).expect("corpus builds");
+    let report = knit::build(&program, &corpus.tree, &opts).expect("corpus builds");
     let full_build_ms = ms(t);
+    let phase_ms = |name: &str| {
+        report.phases.iter().filter(|(n, _)| *n == name).map(|(_, d)| d.as_secs_f64() * 1e3).sum()
+    };
+    let phases_ms: f64 = report.phases.iter().map(|(_, d)| d.as_secs_f64() * 1e3).sum();
 
     let (legacy_ms, identical) = if run_legacy {
         let sched = knit::sched::schedule(&program, &el).expect("schedulable");
@@ -142,6 +154,11 @@ fn measure(n: usize, seed: u64, jobs: usize, run_legacy: bool) -> Row {
         check_ms,
         lint_ms,
         full_build_ms,
+        schedule_ms: phase_ms("schedule"),
+        compile_ms: phase_ms("compile"),
+        objcopy_ms: phase_ms("objcopy"),
+        link_ms: phase_ms("link"),
+        other_ms: full_build_ms - phases_ms,
         legacy_ms,
         speedup: legacy_ms.map(|l| l / new_ms.max(1e-6)),
         identical_to_legacy: identical,
@@ -175,7 +192,7 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "  {:>6} | {:>6} {:>6} {:>6} | {:>9} {:>9} {:>9} {:>9} {:>9} | {:>10} {:>8} | parity",
+        "  {:>6} | {:>6} {:>6} {:>6} | {:>9} {:>9} {:>9} {:>9} {:>9} | {:>8} {:>8} {:>8} {:>8} {:>8} | {:>10} {:>8} | parity",
         "target",
         "decls",
         "insts",
@@ -185,13 +202,18 @@ fn main() -> ExitCode {
         "check ms",
         "lint ms",
         "build ms",
+        "sched",
+        "compile",
+        "objcopy",
+        "link",
+        "other",
         "legacy ms",
         "speedup"
     );
     let mut failures: Vec<String> = Vec::new();
     for r in &rows {
         println!(
-            "  {:>6} | {:>6} {:>6} {:>6} | {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} | {:>10} {:>8} | {}",
+            "  {:>6} | {:>6} {:>6} {:>6} | {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} | {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1} | {:>10} {:>8} | {}",
             r.units,
             r.unit_decls,
             r.instances,
@@ -201,6 +223,11 @@ fn main() -> ExitCode {
             r.check_ms,
             r.lint_ms,
             r.full_build_ms,
+            r.schedule_ms,
+            r.compile_ms,
+            r.objcopy_ms,
+            r.link_ms,
+            r.other_ms,
             r.legacy_ms.map(|v| format!("{v:.1}")).unwrap_or_else(|| "-".into()),
             r.speedup.map(|v| format!("{v:.2}x")).unwrap_or_else(|| "-".into()),
             match r.identical_to_legacy {
@@ -277,7 +304,7 @@ fn main() -> ExitCode {
         out.push_str("  \"rows\": [\n");
         for (i, r) in rows.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"units\": {}, \"unit_decls\": {}, \"instances\": {}, \"template_copies\": {}, \"parse_ms\": {:.2}, \"elaborate_ms\": {:.2}, \"check_ms\": {:.2}, \"lint_ms\": {:.2}, \"full_build_ms\": {:.2}, \"legacy_elaborate_check_ms\": {}, \"speedup_vs_legacy\": {}, \"identical_to_legacy\": {}}}{}\n",
+                "    {{\"units\": {}, \"unit_decls\": {}, \"instances\": {}, \"template_copies\": {}, \"parse_ms\": {:.2}, \"elaborate_ms\": {:.2}, \"check_ms\": {:.2}, \"lint_ms\": {:.2}, \"full_build_ms\": {:.2}, \"schedule_ms\": {:.2}, \"compile_ms\": {:.2}, \"objcopy_ms\": {:.2}, \"link_ms\": {:.2}, \"other_ms\": {:.2}, \"legacy_elaborate_check_ms\": {}, \"speedup_vs_legacy\": {}, \"identical_to_legacy\": {}}}{}\n",
                 r.units,
                 r.unit_decls,
                 r.instances,
@@ -287,6 +314,11 @@ fn main() -> ExitCode {
                 r.check_ms,
                 r.lint_ms,
                 r.full_build_ms,
+                r.schedule_ms,
+                r.compile_ms,
+                r.objcopy_ms,
+                r.link_ms,
+                r.other_ms,
                 r.legacy_ms.map(|v| format!("{v:.2}")).unwrap_or_else(|| "null".into()),
                 r.speedup.map(|v| format!("{v:.2}")).unwrap_or_else(|| "null".into()),
                 r.identical_to_legacy.map(|b| b.to_string()).unwrap_or_else(|| "null".into()),

@@ -14,12 +14,7 @@ pub mod synth;
 use clack::click::{build_click_router, ClickOpts};
 use clack::packets::{self, WorkloadOptions};
 use clack::{build_clack_router, build_hand_router, ip_router, router_build_inputs, RouterHarness};
-// `build_with_cache` is deprecated in favour of sessions; this harness
-// keeps measuring it deliberately — the serial/parallel/warm rows time the
-// one-shot path the paper's build-time table describes.
-#[allow(deprecated)]
-use knit::build_with_cache;
-use knit::{build, BuildCache, BuildOptions, Program, SourceTree};
+use knit::{build, BuildCache, BuildOptions, BuildSession, Program, SourceTree};
 use machine::Machine;
 
 /// A Table 1 / Table 2 packet workload of `count` forwardable IP frames,
@@ -642,8 +637,15 @@ pub struct BuildModeRow {
 /// edited rebuild equals a cold build of the edited tree; the speedup of
 /// the parallel row over the serial row is bounded by the machine's core
 /// count (on one core the two rows measure the same work).
-#[allow(deprecated)] // measures the one-shot `build_with_cache` path on purpose
 pub fn build_time_modes() -> Vec<BuildModeRow> {
+    // One build with no phase memo, compiling through `cache`: the
+    // serial/parallel/warm rows time the one-shot path the paper's
+    // build-time table describes.
+    let cached_build = |p: &Program, t: &SourceTree, opts: &BuildOptions, cache: &BuildCache| {
+        BuildSession::from_parts(p.clone(), t.clone(), opts.clone())
+            .with_cache(cache.clone())
+            .build()
+    };
     let (p, t, opts) = router_build_inputs(&ip_router(), false).expect("router inputs");
     let compile_ms = |r: &knit::BuildReport| {
         r.phases
@@ -666,13 +668,13 @@ pub fn build_time_modes() -> Vec<BuildModeRow> {
 
     let mut serial_opts = opts.clone();
     serial_opts.jobs = 1;
-    let serial = build_with_cache(&p, &t, &serial_opts, &BuildCache::new()).expect("serial build");
+    let serial = cached_build(&p, &t, &serial_opts, &BuildCache::new()).expect("serial build");
 
     let mut par_opts = opts;
     par_opts.jobs = knit::default_jobs().max(2);
     let cache = BuildCache::new();
-    let parallel = build_with_cache(&p, &t, &par_opts, &cache).expect("parallel build");
-    let warm = build_with_cache(&p, &t, &par_opts, &cache).expect("warm build");
+    let parallel = cached_build(&p, &t, &par_opts, &cache).expect("parallel build");
+    let warm = cached_build(&p, &t, &par_opts, &cache).expect("warm build");
 
     assert_eq!(serial.image, parallel.image, "jobs must not change the image");
     assert_eq!(parallel.image, warm.image, "the cache must not change the image");
@@ -698,7 +700,7 @@ pub fn build_time_modes() -> Vec<BuildModeRow> {
     let mut t2 = t.clone();
     t2.add("counter.c", edited);
     let cold_edited =
-        build_with_cache(&p, &t2, &par_opts, &BuildCache::new()).expect("cold edited build");
+        cached_build(&p, &t2, &par_opts, &BuildCache::new()).expect("cold edited build");
     assert_eq!(incr.image, cold_edited.image, "incremental rebuild must match a cold build");
     assert_eq!(incr.stats.units_compiled, 1, "one edit must recompile exactly one unit");
 

@@ -295,3 +295,183 @@ fn one_edit_in_a_10k_unit_session_is_incremental() {
     assert_eq!(report.elaboration.stats.template_copies, params.replicas - 1);
     assert_eq!(report.elaboration.stats.instances_stamped, (params.replicas - 1) * PACK_DEPTH);
 }
+
+// ---------------------------------------------------------------------------
+// back-end golden pins: synth images, schedules and lint counts by value
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over length-prefixed strings: a compact, order-sensitive pin.
+fn fnv_strs<S: AsRef<str>>(parts: impl IntoIterator<Item = S>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for p in parts {
+        let p = p.as_ref();
+        for b in (p.len() as u64).to_le_bytes().iter().chain(p.as_bytes()) {
+            h ^= u64::from(*b);
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+    h
+}
+
+/// `(units, image hash, schedule hash, lint warnings, lint errors)` for the
+/// synth corpus at seed 12648430, built the way the repository benchmark
+/// builds it (runtime symbols, entry `main`). The schedule hash covers the
+/// initializer order and then the finalizer order, as `path.func`.
+const GOLDEN_SYNTH: &[(usize, u64, u64, usize, usize)] = &[
+    (1_000, 0xa2eb_fe27_196b_d947, 0xde68_cf1d_a0b5_1bed, 476, 0),
+    (10_000, 0x901e_c7df_b260_8067, 0x20ea_6cc1_55d9_2713, 4436, 0),
+];
+
+#[test]
+fn synth_corpus_images_schedules_and_lints_pinned_by_value() {
+    for &(n, image, sched, warnings, errors) in GOLDEN_SYNTH {
+        let corpus = generate(&SynthParams::sized(n, 12648430));
+        let program = corpus.load_program(1).expect("corpus parses");
+        let mut opts = BuildOptions::new(&corpus.root, machine::runtime_symbols());
+        opts.entry = Some("main".to_string());
+        let report = knit::build(&program, &corpus.tree, &opts).expect("corpus builds");
+        let el = &report.elaboration;
+        let schedule = knit::sched::schedule(&program, el).expect("schedules");
+        assert_eq!(report.schedule, schedule.describe(el), "{n}: report schedule");
+        let finis = schedule.finis.iter().map(|(i, f)| format!("{}.{f}", el.instances[*i].path));
+        let sched_hash =
+            fnv_strs(report.schedule.iter().cloned().chain(["--".to_string()]).chain(finis));
+        let lint =
+            knit::lint(&program, &corpus.tree, &opts, &knit::LintConfig::new()).expect("lints");
+        assert_eq!(
+            (image_hash(&report.image), sched_hash, lint.warnings(), lint.errors()),
+            (image, sched, warnings, errors),
+            "{n}-unit synth corpus drifted"
+        );
+    }
+}
+
+fn init_cycle(src: &str, root: &str) -> Vec<String> {
+    let mut p = knit::Program::new();
+    p.load_str("cycle.unit", src).expect("parses");
+    let opts = BuildOptions::new(root, Vec::<String>::new());
+    match knit::build(&p, &knit::SourceTree::new(), &opts) {
+        Err(knit::KnitError::InitCycle { cycle }) => cycle,
+        other => panic!("expected an init cycle, got {:?}", other.map(|r| r.schedule)),
+    }
+}
+
+/// Two initializers that each need the other's export directly.
+#[test]
+fn init_cycle_path_direct() {
+    let cycle = init_cycle(
+        r#"
+        bundletype A = { fa }
+        bundletype B = { fb }
+        unit UA = {
+            imports [ b : B ];
+            exports [ a : A ];
+            initializer ia for a;
+            depends { ia needs b; };
+            files { "a.c" };
+        }
+        unit UB = {
+            imports [ a : A ];
+            exports [ b : B ];
+            initializer ib for b;
+            depends { ib needs a; };
+            files { "b.c" };
+        }
+        unit Sys = {
+            exports [ out : A ];
+            link {
+                ub : UB [ a = ua.a ];
+                ua : UA [ b = ub.b ];
+                out = ua.a;
+            };
+        }
+        "#,
+        "Sys",
+    );
+    assert_eq!(cycle, ["Sys/ub.ib", "Sys/ua.ia", "Sys/ub.ib"]);
+}
+
+/// A cycle closed through export-level `needs` chains of units that have
+/// no initializer of their own.
+#[test]
+fn init_cycle_path_through_export_level_needs() {
+    let cycle = init_cycle(
+        r#"
+        bundletype P = { pf }
+        bundletype Q = { qf }
+        unit A = {
+            imports [ c : P ];
+            exports [ a : Q ];
+            initializer ia for a;
+            depends { ia needs c; };
+            files { "a.c" };
+        }
+        unit M = {
+            imports [ up : P ];
+            exports [ m : P ];
+            depends { m needs up; };
+            files { "m.c" };
+        }
+        unit C = {
+            imports [ a : Q ];
+            exports [ c : P ];
+            initializer ic for c;
+            initializer ic2 for c;
+            depends { ic2 needs a; };
+            files { "c.c" };
+        }
+        unit Sys = {
+            exports [ out : Q ];
+            link {
+                x : A [ c = mid2.m ];
+                mid1 : M [ up = z.c ];
+                mid2 : M [ up = mid1.m ];
+                z : C [ a = x.a ];
+                out = x.a;
+            };
+        }
+        "#,
+        "Sys",
+    );
+    assert_eq!(cycle, ["Sys/x.ia", "Sys/z.ic2", "Sys/x.ia"]);
+}
+
+/// A ring of three replicas of one compound: the cycle crosses every
+/// stamped copy.
+#[test]
+fn init_cycle_path_across_replicated_instances() {
+    let cycle = init_cycle(
+        r#"
+        bundletype P = { pf }
+        unit Stage = {
+            imports [ inp : P ];
+            exports [ out : P ];
+            initializer st_init for out;
+            depends { st_init needs inp; };
+            files { "s.c" };
+        }
+        unit Rep = {
+            imports [ feed : P ];
+            exports [ out : P ];
+            link {
+                s : Stage [ inp = feed ];
+                out = s.out;
+            };
+        }
+        unit Ring = {
+            exports [ out : P ];
+            link {
+                r1 : Rep [ feed = r0.out ];
+                r0 : Rep [ feed = r2.out ];
+                r2 : Rep [ feed = r1.out ];
+                out = r0.out;
+            };
+        }
+        "#,
+        "Ring",
+    );
+    assert_eq!(
+        cycle,
+        ["Ring/r1/s.st_init", "Ring/r0/s.st_init", "Ring/r2/s.st_init", "Ring/r1/s.st_init"]
+    );
+}

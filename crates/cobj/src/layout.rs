@@ -90,11 +90,11 @@ impl LayoutProfile {
 }
 
 /// Placement metadata for one function awaiting layout.
-#[derive(Debug, Clone)]
-pub struct FuncMeta {
+#[derive(Debug, Clone, Copy)]
+pub struct FuncMeta<'a> {
     /// Link-level symbol name (not necessarily unique: `static` functions
     /// from different objects may share one).
-    pub name: String,
+    pub name: &'a str,
     /// Encoded size in bytes.
     pub size: u64,
 }
@@ -117,7 +117,7 @@ impl Layout {
     ///
     /// The result is deterministic for a given `(strategy, funcs)` pair:
     /// all tie-breaks fall back to input order.
-    pub fn order(&self, funcs: &[FuncMeta]) -> Vec<usize> {
+    pub fn order(&self, funcs: &[FuncMeta<'_>]) -> Vec<usize> {
         match self {
             Layout::InputOrder => (0..funcs.len()).collect(),
             Layout::ProfileGuided(profile) => {
@@ -140,7 +140,7 @@ impl Layout {
 ///    adjacent, cooler pairs at least nearby.
 /// 3. Emit chains by decreasing heat (total instruction count), then the
 ///    cold functions in input order.
-fn profile_guided_order(profile: &LayoutProfile, funcs: &[FuncMeta]) -> Vec<usize> {
+fn profile_guided_order(profile: &LayoutProfile, funcs: &[FuncMeta<'_>]) -> Vec<usize> {
     let n = funcs.len();
 
     // Map names to function indices. Names are not guaranteed unique
@@ -151,7 +151,7 @@ fn profile_guided_order(profile: &LayoutProfile, funcs: &[FuncMeta]) -> Vec<usiz
     // conservative.
     let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     for (i, f) in funcs.iter().enumerate() {
-        by_name.entry(f.name.as_str()).or_default().push(i);
+        by_name.entry(f.name).or_default().push(i);
     }
 
     let name_is_hot = |name: &str| -> bool {
@@ -165,7 +165,7 @@ fn profile_guided_order(profile: &LayoutProfile, funcs: &[FuncMeta]) -> Vec<usiz
             .iter()
             .any(|((caller, callee), &w)| w > 0 && (caller == name || callee == name))
     };
-    let hot: Vec<bool> = funcs.iter().map(|f| name_is_hot(&f.name)).collect();
+    let hot: Vec<bool> = funcs.iter().map(|f| name_is_hot(f.name)).collect();
 
     // Union-find-free chain bookkeeping: chain id per function, chains as
     // ordered vectors. Only hot functions participate.
@@ -213,10 +213,7 @@ fn profile_guided_order(profile: &LayoutProfile, funcs: &[FuncMeta]) -> Vec<usiz
     // contribute their shared count to each copy — only relative order
     // matters). Tie-break on first member's input position.
     let heat = |chain: &[usize]| -> u64 {
-        chain
-            .iter()
-            .map(|&i| profile.func_counts.get(funcs[i].name.as_str()).copied().unwrap_or(0))
-            .sum()
+        chain.iter().map(|&i| profile.func_counts.get(funcs[i].name).copied().unwrap_or(0)).sum()
     };
     let mut hot_chains: Vec<&Vec<usize>> =
         chains.iter().filter(|c| !c.is_empty() && hot[c[0]]).collect();
@@ -236,8 +233,8 @@ fn profile_guided_order(profile: &LayoutProfile, funcs: &[FuncMeta]) -> Vec<usiz
 mod tests {
     use super::*;
 
-    fn metas(names: &[&str]) -> Vec<FuncMeta> {
-        names.iter().map(|n| FuncMeta { name: n.to_string(), size: 8 }).collect()
+    fn metas<'a>(names: &[&'a str]) -> Vec<FuncMeta<'a>> {
+        names.iter().map(|n| FuncMeta { name: n, size: 8 }).collect()
     }
 
     #[test]

@@ -23,12 +23,13 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::archive::Archive;
 use crate::error::LinkError;
+use crate::fnv::{FnvMap, FnvSet};
 use crate::image::{
     align_up, CallTarget, Image, ImageFunc, RInstr, SymbolLoc, FUNC_ALIGN, TEXT_BASE,
 };
 use crate::ir::{Instr, SymId};
 use crate::layout::{FuncMeta, Layout};
-use crate::object::{FuncDef, ObjectFile, SymDef};
+use crate::object::{FuncDef, ObjectFile, ObjectRef, SymDef};
 
 /// One linker command-line argument.
 #[derive(Debug, Clone)]
@@ -37,6 +38,15 @@ pub enum LinkInput {
     Object(ObjectFile),
     /// An archive — members included on demand.
     Archive(Archive),
+}
+
+/// One borrowed linker argument: what [`link_refs`] reads.
+#[derive(Debug, Clone, Copy)]
+pub enum InputRef<'a> {
+    /// An explicit object — always included.
+    Object(ObjectRef<'a>),
+    /// An archive — members included on demand.
+    Archive(&'a Archive),
 }
 
 /// Linker configuration.
@@ -72,66 +82,150 @@ impl LinkOptions {
 
 /// Link `inputs` into an executable [`Image`].
 pub fn link(inputs: &[LinkInput], opts: &LinkOptions) -> Result<Image, LinkError> {
-    let included = select_objects(inputs, opts)?;
-    layout(&included, opts)
+    let refs: Vec<InputRef<'_>> = inputs
+        .iter()
+        .map(|i| match i {
+            LinkInput::Object(o) => InputRef::Object(o.view()),
+            LinkInput::Archive(a) => InputRef::Archive(a),
+        })
+        .collect();
+    link_refs(&refs, opts)
 }
 
-/// Phase 1: decide which objects participate, applying archive semantics.
-fn select_objects(inputs: &[LinkInput], opts: &LinkOptions) -> Result<Vec<ObjectFile>, LinkError> {
-    let mut included: Vec<ObjectFile> = Vec::new();
-    // name -> index of including object in `included`
-    let mut defined: BTreeMap<String, usize> = BTreeMap::new();
-    // names referenced but not yet defined (runtime-satisfied names never
-    // enter this set, so they do not pull archive members)
-    let mut undefined: BTreeSet<String> = BTreeSet::new();
+/// Link borrowed `inputs` into an executable [`Image`] — [`link`] without
+/// owning (or copying) any object. Both give the same image and the same
+/// errors for the same inputs.
+pub fn link_refs(inputs: &[InputRef<'_>], opts: &LinkOptions) -> Result<Image, LinkError> {
+    let selection = select_objects(inputs, opts)?;
+    layout(&selection, opts)
+}
 
-    let include = |obj: &ObjectFile,
-                   included: &mut Vec<ObjectFile>,
-                   defined: &mut BTreeMap<String, usize>,
-                   undefined: &mut BTreeSet<String>|
-     -> Result<(), LinkError> {
+/// What an undefined symbol-table entry resolves to.
+#[derive(Debug, Clone, Copy)]
+enum Import {
+    /// The global definition at this flat symbol index.
+    Def(usize),
+    /// The runtime intrinsic with this id.
+    Intrinsic(u32),
+}
+
+/// The outcome of phase 1. Symbols are numbered densely across the
+/// included objects: object `oi`'s entry `s` is flat index
+/// `sym_base[oi] + s`.
+struct Selection<'a> {
+    /// The participating objects, in input order.
+    included: Vec<ObjectRef<'a>>,
+    /// First flat symbol index of each included object.
+    sym_base: Vec<usize>,
+    /// Number of symbol-table entries across the included objects.
+    n_syms: usize,
+    /// Every global definition: name → flat symbol index.
+    defined: FnvMap<&'a str, usize>,
+    /// Every undefined entry's resolution: (flat index, target).
+    imports: Vec<(usize, Import)>,
+    /// Runtime intrinsic names, in id order.
+    intrinsics: Vec<String>,
+}
+
+/// Phase-1 state: the objects included so far and their definitions.
+struct Selector<'a, 'r> {
+    included: Vec<ObjectRef<'a>>,
+    sym_base: Vec<usize>,
+    n_syms: usize,
+    defined: FnvMap<&'a str, usize>,
+    runtime: &'r FnvMap<&'r str, u32>,
+    /// Names referenced but not yet defined (runtime-satisfied names never
+    /// enter this set, so they do not pull archive members). Only archive
+    /// scans read it, so it is built at the first archive.
+    pending: Option<FnvSet<&'a str>>,
+}
+
+impl<'a> Selector<'a, '_> {
+    fn include(&mut self, obj: ObjectRef<'a>) -> Result<(), LinkError> {
         obj.validate()?;
-        let idx = included.len();
-        for s in &obj.symbols {
+        for (si, s) in obj.symbols.iter().enumerate() {
             if s.is_global_def() {
-                if let Some(&first) = defined.get(&s.name) {
+                if let Some(&first) = self.defined.get(s.name.as_str()) {
+                    let first = self.sym_base.partition_point(|&b| b <= first) - 1;
                     return Err(LinkError::MultipleDefinition {
                         name: s.name.clone(),
-                        first: included[first].name.clone(),
-                        second: obj.name.clone(),
+                        first: self.included[first].name.to_string(),
+                        second: obj.name.to_string(),
                     });
                 }
-                defined.insert(s.name.clone(), idx);
-                undefined.remove(&s.name);
+                self.defined.insert(&s.name, self.n_syms + si);
+                if let Some(p) = self.pending.as_mut() {
+                    p.remove(s.name.as_str());
+                }
             }
         }
-        for s in &obj.symbols {
-            if s.def == SymDef::Undefined
-                && !defined.contains_key(&s.name)
-                && !opts.runtime_symbols.contains(&s.name)
-            {
-                undefined.insert(s.name.clone());
+        if let Some(p) = self.pending.as_mut() {
+            for s in obj.symbols {
+                if s.def == SymDef::Undefined
+                    && !self.defined.contains_key(s.name.as_str())
+                    && !self.runtime.contains_key(s.name.as_str())
+                {
+                    p.insert(&s.name);
+                }
             }
         }
-        included.push(obj.clone());
+        self.sym_base.push(self.n_syms);
+        self.n_syms += obj.symbols.len();
+        self.included.push(obj);
         Ok(())
-    };
+    }
 
+    /// Whether archive member `m` defines a name still wanted.
+    fn wants(&mut self, m: &ObjectFile) -> bool {
+        let (included, defined, runtime) = (&self.included, &self.defined, self.runtime);
+        let pending = self.pending.get_or_insert_with(|| {
+            included
+                .iter()
+                .flat_map(|o| o.symbols)
+                .filter(|s| s.def == SymDef::Undefined)
+                .map(|s| s.name.as_str())
+                .filter(|n| !defined.contains_key(n) && !runtime.contains_key(n))
+                .collect()
+        });
+        m.symbols.iter().any(|s| s.is_global_def() && pending.contains(s.name.as_str()))
+    }
+}
+
+/// Phase 1: decide which objects participate, applying archive semantics,
+/// and resolve every undefined reference.
+fn select_objects<'a>(
+    inputs: &[InputRef<'a>],
+    opts: &LinkOptions,
+) -> Result<Selection<'a>, LinkError> {
+    let n_symbols: usize = inputs
+        .iter()
+        .map(|i| match i {
+            InputRef::Object(o) => o.symbols.len(),
+            InputRef::Archive(_) => 0,
+        })
+        .sum();
+    let intrinsics: Vec<String> = opts.runtime_symbols.iter().cloned().collect();
+    let runtime: FnvMap<&str, u32> =
+        intrinsics.iter().enumerate().map(|(i, n)| (n.as_str(), i as u32)).collect();
+    let mut sel = Selector {
+        included: Vec::with_capacity(inputs.len()),
+        sym_base: Vec::with_capacity(inputs.len()),
+        n_syms: 0,
+        defined: FnvMap::with_capacity_and_hasher(n_symbols, Default::default()),
+        runtime: &runtime,
+        pending: None,
+    };
     for input in inputs {
-        match input {
-            LinkInput::Object(o) => include(o, &mut included, &mut defined, &mut undefined)?,
-            LinkInput::Archive(a) => {
-                let mut pulled_members: BTreeSet<usize> = BTreeSet::new();
+        match *input {
+            InputRef::Object(o) => sel.include(o)?,
+            InputRef::Archive(a) => {
+                let mut pulled_members = vec![false; a.members.len()];
                 loop {
                     let mut pulled = false;
                     for (mi, m) in a.members.iter().enumerate() {
-                        if pulled_members.contains(&mi) {
-                            continue;
-                        }
-                        let satisfies = m.exported_names().iter().any(|n| undefined.contains(*n));
-                        if satisfies {
-                            include(m, &mut included, &mut defined, &mut undefined)?;
-                            pulled_members.insert(mi);
+                        if !pulled_members[mi] && sel.wants(m) {
+                            sel.include(m.view())?;
+                            pulled_members[mi] = true;
                             pulled = true;
                         }
                     }
@@ -142,18 +236,43 @@ fn select_objects(inputs: &[LinkInput], opts: &LinkOptions) -> Result<Vec<Object
             }
         }
     }
+    let Selector { included, sym_base, n_syms, defined, .. } = sel;
 
-    if let Some(name) = undefined.iter().next() {
-        // Gather every object that references the first missing name, for a
-        // useful diagnostic.
+    // Resolve every undefined entry: a global definition first, then the
+    // runtime. If any name stays unresolved, report the lexicographically
+    // first with every object that references it, for a useful (and
+    // order-stable) diagnostic.
+    let mut imports: Vec<(usize, Import)> = Vec::new();
+    let mut missing: Option<&str> = None;
+    for (obj, &base) in included.iter().zip(&sym_base) {
+        for (si, s) in obj.symbols.iter().enumerate() {
+            if s.def != SymDef::Undefined {
+                continue;
+            }
+            let name = s.name.as_str();
+            match (defined.get(name), runtime.get(name)) {
+                (Some(&d), _) => imports.push((base + si, Import::Def(d))),
+                (None, Some(&id)) => imports.push((base + si, Import::Intrinsic(id))),
+                (None, None) => {
+                    if missing.is_none_or(|m| name < m) {
+                        missing = Some(name);
+                    }
+                }
+            }
+        }
+    }
+    if let Some(name) = missing {
         let refs: Vec<String> = included
             .iter()
-            .filter(|o| o.undefined_names().contains(name.as_str()))
-            .map(|o| o.name.clone())
+            .filter(|o| o.symbols.iter().any(|s| s.def == SymDef::Undefined && s.name == name))
+            .map(|o| o.name.to_string())
             .collect();
-        return Err(LinkError::UndefinedReference { name: name.clone(), referenced_from: refs });
+        return Err(LinkError::UndefinedReference {
+            name: name.to_string(),
+            referenced_from: refs,
+        });
     }
-    Ok(included)
+    Ok(Selection { included, sym_base, n_syms, defined, imports, intrinsics })
 }
 
 /// Resolution of one symbol-table entry of one included object.
@@ -165,7 +284,21 @@ enum Resolved {
 }
 
 /// Phase 2: lay out text and data, apply relocations, resolve operands.
-fn layout(included: &[ObjectFile], opts: &LinkOptions) -> Result<Image, LinkError> {
+///
+/// Every table here is dense — per-symbol and per-data-item vectors
+/// indexed by flat index — and names are hashed only once, in phase 1.
+fn layout(sel: &Selection<'_>, opts: &LinkOptions) -> Result<Image, LinkError> {
+    let included = &sel.included;
+    let sym_base = &sel.sym_base;
+    // Object `oi`'s data item `d` is `data_base_ix[oi] + d`.
+    let mut data_base_ix: Vec<usize> = Vec::with_capacity(included.len());
+    let (mut n_data, mut n_funcs) = (0usize, 0usize);
+    for obj in included {
+        data_base_ix.push(n_data);
+        n_data += obj.data.len();
+        n_funcs += obj.funcs.len();
+    }
+
     // --- assign text addresses ---
     struct FuncSlot<'a> {
         obj: usize,
@@ -175,12 +308,12 @@ fn layout(included: &[ObjectFile], opts: &LinkOptions) -> Result<Image, LinkErro
     // Gather candidates in input order, then let the layout strategy pick
     // the placement order. `InputOrder` returns the identity permutation,
     // reproducing the historical images byte-for-byte.
-    let mut raw: Vec<(usize, &FuncDef)> = Vec::new();
-    let mut metas: Vec<FuncMeta> = Vec::new();
+    let mut raw: Vec<(usize, &FuncDef)> = Vec::with_capacity(n_funcs);
+    let mut metas: Vec<FuncMeta<'_>> = Vec::with_capacity(n_funcs);
     for (oi, obj) in included.iter().enumerate() {
-        for f in &obj.funcs {
+        for f in obj.funcs {
             raw.push((oi, f));
-            metas.push(FuncMeta { name: obj.symbol(f.sym).name.clone(), size: f.size_bytes() });
+            metas.push(FuncMeta { name: &obj.symbol(f.sym).name, size: f.size_bytes() });
         }
     }
     let order = opts.layout.order(&metas);
@@ -191,74 +324,40 @@ fn layout(included: &[ObjectFile], opts: &LinkOptions) -> Result<Image, LinkErro
         let (oi, f) = raw[ri];
         cursor = align_up(cursor, FUNC_ALIGN);
         slots.push(FuncSlot { obj: oi, def: f, addr: cursor });
-        cursor += f.size_bytes();
+        cursor += metas[ri].size;
     }
     let text_end = cursor;
-    let text_size: u64 = included.iter().map(|o| o.text_size()).sum();
+    let text_size: u64 = metas.iter().map(|m| m.size).sum();
 
     // --- assign data addresses ---
     let data_base = align_up(text_end, 0x1000);
     let mut data_cursor = data_base;
-    // (object idx, data idx) -> address
-    let mut data_addrs: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-    for (oi, obj) in included.iter().enumerate() {
-        for (di, d) in obj.data.iter().enumerate() {
+    let mut data_addrs: Vec<u64> = Vec::with_capacity(n_data);
+    for obj in included {
+        for d in obj.data {
             data_cursor = align_up(data_cursor, d.align.max(1));
-            data_addrs.insert((oi, di), data_cursor);
+            data_addrs.push(data_cursor);
             data_cursor += d.size_bytes();
         }
     }
     let heap_base = align_up(data_cursor.max(data_base + 1), 0x1000);
 
-    // --- intrinsic table ---
-    let intrinsics: Vec<String> = opts.runtime_symbols.iter().cloned().collect();
-    let intrinsic_ids: BTreeMap<&str, u32> =
-        intrinsics.iter().enumerate().map(|(i, n)| (n.as_str(), i as u32)).collect();
-
-    // --- global resolution tables ---
-    // func symbol name -> image func index; data name -> address
-    let mut global: BTreeMap<&str, Resolved> = BTreeMap::new();
-    // per-object: SymId -> Resolved (includes locals)
-    let mut per_obj: Vec<BTreeMap<u32, Resolved>> = vec![BTreeMap::new(); included.len()];
-
+    // --- resolve every symbol-table entry (locals included) ---
+    let mut resolved: Vec<Option<Resolved>> = vec![None; sel.n_syms];
     for (fi, slot) in slots.iter().enumerate() {
-        let obj = &included[slot.obj];
-        let sym = obj.symbol(slot.def.sym);
-        per_obj[slot.obj].insert(slot.def.sym.0, Resolved::Func(fi as u32));
-        if sym.is_global_def() {
-            global.insert(sym.name.as_str(), Resolved::Func(fi as u32));
-        }
+        resolved[sym_base[slot.obj] + slot.def.sym.0 as usize] = Some(Resolved::Func(fi as u32));
     }
     for (oi, obj) in included.iter().enumerate() {
         for (di, d) in obj.data.iter().enumerate() {
-            let addr = data_addrs[&(oi, di)];
-            let sym = obj.symbol(d.sym);
-            per_obj[oi].insert(d.sym.0, Resolved::Data(addr));
-            if sym.is_global_def() {
-                global.insert(sym.name.as_str(), Resolved::Data(addr));
-            }
+            let addr = data_addrs[data_base_ix[oi] + di];
+            resolved[sym_base[oi] + d.sym.0 as usize] = Some(Resolved::Data(addr));
         }
     }
-    // undefined entries: resolve via global table or intrinsics
-    for (oi, obj) in included.iter().enumerate() {
-        for (si, s) in obj.symbols.iter().enumerate() {
-            if s.def == SymDef::Undefined {
-                let r = match global.get(s.name.as_str()) {
-                    Some(r) => *r,
-                    None => match intrinsic_ids.get(s.name.as_str()) {
-                        Some(id) => Resolved::Intrinsic(*id),
-                        // select_objects guarantees this cannot happen
-                        None => {
-                            return Err(LinkError::UndefinedReference {
-                                name: s.name.clone(),
-                                referenced_from: vec![obj.name.clone()],
-                            })
-                        }
-                    },
-                };
-                per_obj[oi].insert(si as u32, r);
-            }
-        }
+    for &(at, import) in &sel.imports {
+        resolved[at] = match import {
+            Import::Def(d) => resolved[d],
+            Import::Intrinsic(id) => Some(Resolved::Intrinsic(id)),
+        };
     }
 
     // --- build image functions with resolved bodies ---
@@ -274,6 +373,9 @@ fn layout(included: &[ObjectFile], opts: &LinkOptions) -> Result<Image, LinkErro
     for slot in &slots {
         let obj = &included[slot.obj];
         let name = obj.symbol(slot.def.sym).name.clone();
+        let table = &resolved[sym_base[slot.obj]..sym_base[slot.obj] + obj.symbols.len()];
+        let resolve =
+            |sym: SymId| table[sym.0 as usize].expect("validated objects resolve every symbol");
         let mut body = Vec::with_capacity(slot.def.body.len());
         let mut instr_addrs = Vec::with_capacity(slot.def.body.len());
         let mut instr_sizes = Vec::with_capacity(slot.def.body.len());
@@ -283,7 +385,6 @@ fn layout(included: &[ObjectFile], opts: &LinkOptions) -> Result<Image, LinkErro
             instr_addrs.push(pc);
             instr_sizes.push(size as u16);
             pc += size;
-            let resolve = |sym: SymId| per_obj[slot.obj][&sym.0];
             let r = match instr {
                 Instr::Const { dst, value } => RInstr::Const { dst: *dst, value: *value },
                 Instr::Mov { dst, src } => RInstr::Mov { dst: *dst, src: *src },
@@ -310,7 +411,7 @@ fn layout(included: &[ObjectFile], opts: &LinkOptions) -> Result<Image, LinkErro
                         Resolved::Data(_) => {
                             return Err(LinkError::KindMismatch {
                                 name: obj.symbol(*target).name.clone(),
-                                from: obj.name.clone(),
+                                from: obj.name.to_string(),
                             })
                         }
                     };
@@ -331,7 +432,7 @@ fn layout(included: &[ObjectFile], opts: &LinkOptions) -> Result<Image, LinkErro
         funcs.push(ImageFunc {
             name,
             addr: slot.addr,
-            size: slot.def.size_bytes(),
+            size: pc - slot.addr,
             params: slot.def.params,
             nregs: slot.def.nregs,
             frame_size: slot.def.frame_size,
@@ -345,11 +446,12 @@ fn layout(included: &[ObjectFile], opts: &LinkOptions) -> Result<Image, LinkErro
     let mut data = vec![0u8; (data_cursor - data_base) as usize];
     for (oi, obj) in included.iter().enumerate() {
         for (di, d) in obj.data.iter().enumerate() {
-            let addr = data_addrs[&(oi, di)];
+            let addr = data_addrs[data_base_ix[oi] + di];
             let off = (addr - data_base) as usize;
             data[off..off + d.init.len()].copy_from_slice(&d.init);
             for reloc in &d.relocs {
-                let target = per_obj[oi][&reloc.sym.0];
+                let target = resolved[sym_base[oi] + reloc.sym.0 as usize]
+                    .expect("validated objects resolve every symbol");
                 let value = resolve_addr_value(target, &slots).wrapping_add_signed(reloc.addend);
                 let at = off + reloc.offset as usize;
                 data[at..at + 8].copy_from_slice(&value.to_le_bytes());
@@ -358,22 +460,20 @@ fn layout(included: &[ObjectFile], opts: &LinkOptions) -> Result<Image, LinkErro
     }
 
     // --- symbol map and entry ---
-    let mut symbols: BTreeMap<String, SymbolLoc> = BTreeMap::new();
-    for (name, r) in &global {
-        let loc = match r {
-            Resolved::Func(fi) => SymbolLoc::Func(*fi),
-            Resolved::Data(a) => SymbolLoc::Data(*a),
-            Resolved::Intrinsic(_) => continue,
-        };
-        symbols.insert((*name).to_string(), loc);
-    }
+    let def_loc = |d: usize| match resolved[d].expect("definitions have bodies") {
+        Resolved::Func(fi) => SymbolLoc::Func(fi),
+        Resolved::Data(a) => SymbolLoc::Data(a),
+        Resolved::Intrinsic(_) => unreachable!("definitions are never intrinsics"),
+    };
     let entry = match &opts.entry {
-        Some(name) => match symbols.get(name) {
-            Some(SymbolLoc::Func(fi)) => Some(*fi),
+        Some(name) => match sel.defined.get(name.as_str()).map(|&d| def_loc(d)) {
+            Some(SymbolLoc::Func(fi)) => Some(fi),
             _ => return Err(LinkError::NoEntry { name: name.clone() }),
         },
         None => None,
     };
+    let symbols: BTreeMap<String, SymbolLoc> =
+        sel.defined.iter().map(|(name, &d)| (name.to_string(), def_loc(d))).collect();
 
     let addr_to_func =
         funcs.iter().enumerate().map(|(i, f)| (f.addr, i as u32)).collect::<BTreeMap<_, _>>();
@@ -385,7 +485,7 @@ fn layout(included: &[ObjectFile], opts: &LinkOptions) -> Result<Image, LinkErro
         data_base,
         heap_base,
         symbols,
-        intrinsics,
+        intrinsics: sel.intrinsics.clone(),
         text_size,
         entry,
     })

@@ -26,6 +26,7 @@
 
 pub mod archive;
 pub mod error;
+pub mod fnv;
 pub mod image;
 pub mod ir;
 pub mod layout;
@@ -38,5 +39,5 @@ pub use error::{LinkError, ObjectError};
 pub use image::{CallTarget, Image, ImageFunc, RInstr, SymbolLoc};
 pub use ir::{BinOp, Instr, SymId, UnOp, Width};
 pub use layout::{Layout, LayoutProfile};
-pub use ld::{link, LinkInput, LinkOptions};
-pub use object::{DataDef, DataReloc, FuncDef, ObjectFile, SymDef, SymKind, Symbol};
+pub use ld::{link, link_refs, InputRef, LinkInput, LinkOptions};
+pub use object::{DataDef, DataReloc, FuncDef, ObjectFile, ObjectRef, SymDef, SymKind, Symbol};

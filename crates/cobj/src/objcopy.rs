@@ -16,60 +16,80 @@
 use std::collections::BTreeMap;
 
 use crate::error::ObjectError;
-use crate::object::{ObjectFile, SymDef};
+use crate::fnv::{FnvMap, FnvSet};
+use crate::object::{ObjectFile, SymDef, Symbol};
+
+fn is_local(s: &Symbol) -> bool {
+    matches!(s.def, SymDef::Defined { local: true, .. })
+}
 
 /// Rename global symbols of `obj` according to `map` (old name → new name).
 ///
 /// Names absent from the map are kept. Local (static) symbols are never
 /// touched: like real `objcopy --redefine-sym`, renaming operates on the
 /// link-visible namespace only. Returns an error if a requested name does
-/// not exist in the object, or if the rename would make two distinct
-/// link-visible symbols collide.
+/// not exist in the object (the first such key in map order), or if the
+/// rename would make two distinct link-visible symbols collide.
 pub fn rename_symbols(
     obj: &ObjectFile,
     map: &BTreeMap<String, String>,
 ) -> Result<ObjectFile, ObjectError> {
     // Every key must name an existing global (defined or undefined) symbol.
-    for old in map.keys() {
-        let found = obj
-            .symbols
-            .iter()
-            .any(|s| s.name == *old && !matches!(s.def, SymDef::Defined { local: true, .. }));
-        if !found {
-            return Err(ObjectError::NoSuchSymbol { object: obj.name.clone(), name: old.clone() });
-        }
+    let visible: FnvSet<&str> =
+        obj.symbols.iter().filter(|s| !is_local(s)).map(|s| s.name.as_str()).collect();
+    if let Some(old) = map.keys().find(|k| !visible.contains(k.as_str())) {
+        return Err(ObjectError::NoSuchSymbol { object: obj.name.clone(), name: old.clone() });
     }
+    let symbols = rename_table(&obj.name, &obj.symbols, |_, s| map.get(&s.name).cloned())?;
+    Ok(ObjectFile {
+        name: obj.name.clone(),
+        symbols,
+        funcs: obj.funcs.clone(),
+        data: obj.data.clone(),
+    })
+}
 
-    let mut out = obj.clone();
-    for sym in &mut out.symbols {
-        if matches!(sym.def, SymDef::Defined { local: true, .. }) {
-            continue;
-        }
-        if let Some(new) = map.get(&sym.name) {
-            sym.name = new.clone();
-        }
-    }
+/// The symbol table of object `object` after renaming: `new_name(index,
+/// symbol)` gives a link-visible symbol's new name, or `None` to keep it
+/// (it is never asked about local symbols).
+///
+/// This is [`rename_symbols`] without the object's text and data, which a
+/// rename never changes — a caller renaming one object many times (once
+/// per unit instance) keeps one copy of the code and a symbol table per
+/// instance. It rejects the same collisions: a defined symbol may not
+/// share its new name with any other link-visible symbol; only two
+/// undefined references may (both wired to one provider).
+pub fn rename_table(
+    object: &str,
+    symbols: &[Symbol],
+    mut new_name: impl FnMut(usize, &Symbol) -> Option<String>,
+) -> Result<Vec<Symbol>, ObjectError> {
+    let out: Vec<Symbol> = symbols
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            let renamed = if is_local(s) { None } else { new_name(i, s) };
+            match renamed {
+                Some(name) => Symbol { name, def: s.def },
+                None => s.clone(),
+            }
+        })
+        .collect();
 
-    // Detect collisions among link-visible names: a defined symbol may not
-    // share its new name with any other defined symbol; a defined and an
-    // undefined entry with the same name would silently self-satisfy, so we
-    // reject that too (Knit wiring never needs it — self-links are resolved
-    // before objcopy).
-    let mut seen: BTreeMap<&str, &SymDef> = BTreeMap::new();
-    for s in &out.symbols {
-        if matches!(s.def, SymDef::Defined { local: true, .. }) {
-            continue;
-        }
-        if let Some(prev) = seen.get(s.name.as_str()) {
-            let both_undef = **prev == SymDef::Undefined && s.def == SymDef::Undefined;
-            if !both_undef {
+    // A defined and an undefined entry with the same name would silently
+    // self-satisfy, so we reject that too (Knit wiring never needs it —
+    // self-links are resolved before objcopy).
+    let mut seen: FnvMap<&str, SymDef> =
+        FnvMap::with_capacity_and_hasher(out.len(), Default::default());
+    for s in out.iter().filter(|s| !is_local(s)) {
+        if let Some(prev) = seen.insert(&s.name, s.def) {
+            if !(prev == SymDef::Undefined && s.def == SymDef::Undefined) {
                 return Err(ObjectError::RenameCollision {
-                    object: out.name.clone(),
+                    object: object.to_string(),
                     name: s.name.clone(),
                 });
             }
         }
-        seen.insert(s.name.as_str(), &s.def);
     }
     Ok(out)
 }

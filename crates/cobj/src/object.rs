@@ -6,9 +6,10 @@
 //! whose *tabs* are defined global symbols and whose *notches* are
 //! undefined references (Figure 1 of the paper).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::error::ObjectError;
+use crate::fnv::FnvMap;
 use crate::ir::{Instr, SymId};
 
 /// What a defined symbol names.
@@ -191,16 +192,55 @@ impl ObjectFile {
         self.funcs.iter().map(FuncDef::size_bytes).sum()
     }
 
+    /// A borrowed view of this object, the form the linker reads.
+    pub fn view(&self) -> ObjectRef<'_> {
+        ObjectRef { name: &self.name, symbols: &self.symbols, funcs: &self.funcs, data: &self.data }
+    }
+
     /// Structural validation: every symbol reference is in range, every
     /// defined func/data symbol has exactly one body, jump targets are in
     /// range, and no two symbols share a name unless both are local or one
     /// is the undefined twin of nothing.
     pub fn validate(&self) -> Result<(), ObjectError> {
+        self.view().validate()
+    }
+}
+
+/// A borrowed object: a name and a symbol table of its own, over text and
+/// data sections that several views may share. This is how `objcopy`
+/// output reaches the linker without copying code: each instance of a unit
+/// gets its own renamed symbol table, and every instance's view borrows
+/// the one compiled text and data.
+#[derive(Debug, Clone, Copy)]
+pub struct ObjectRef<'a> {
+    /// Name for diagnostics.
+    pub name: &'a str,
+    /// The symbol table. Instructions and relocations index into this.
+    pub symbols: &'a [Symbol],
+    /// Function definitions (the text section).
+    pub funcs: &'a [FuncDef],
+    /// Data definitions (the data/bss sections).
+    pub data: &'a [DataDef],
+}
+
+impl<'a> ObjectRef<'a> {
+    /// Look up a symbol entry.
+    pub fn symbol(&self, id: SymId) -> &'a Symbol {
+        &self.symbols[id.0 as usize]
+    }
+
+    /// Total text bytes in this object.
+    pub fn text_size(&self) -> u64 {
+        self.funcs.iter().map(FuncDef::size_bytes).sum()
+    }
+
+    /// Structural validation; see [`ObjectFile::validate`].
+    pub fn validate(&self) -> Result<(), ObjectError> {
         let nsyms = self.symbols.len() as u32;
         let check = |id: SymId, what: &str| -> Result<(), ObjectError> {
             if id.0 >= nsyms {
                 return Err(ObjectError::BadSymbolIndex {
-                    object: self.name.clone(),
+                    object: self.name.to_string(),
                     index: id.0,
                     context: what.to_string(),
                 });
@@ -208,39 +248,39 @@ impl ObjectFile {
             Ok(())
         };
 
-        let mut seen_names: BTreeMap<&str, &Symbol> = BTreeMap::new();
-        for s in &self.symbols {
-            if let Some(prev) = seen_names.get(s.name.as_str()) {
+        let mut seen_names: FnvMap<&str, &Symbol> =
+            FnvMap::with_capacity_and_hasher(self.symbols.len(), Default::default());
+        for s in self.symbols {
+            if let Some(prev) = seen_names.insert(s.name.as_str(), s) {
                 // Two entries with the same name are only legal if at most
                 // one of them defines it (an object may both reference and
                 // define a name through separate entries only by mistake).
                 if prev.is_defined() && s.is_defined() {
                     return Err(ObjectError::DuplicateSymbol {
-                        object: self.name.clone(),
+                        object: self.name.to_string(),
                         name: s.name.clone(),
                     });
                 }
             }
-            seen_names.insert(s.name.as_str(), s);
         }
 
-        let mut defined_bodies: BTreeSet<u32> = BTreeSet::new();
-        for f in &self.funcs {
+        let mut has_body = vec![false; self.symbols.len()];
+        for f in self.funcs {
             check(f.sym, "function definition")?;
             let sym = self.symbol(f.sym);
             match sym.def {
                 SymDef::Defined { kind: SymKind::Func, .. } => {}
                 _ => {
                     return Err(ObjectError::SymbolKindMismatch {
-                        object: self.name.clone(),
+                        object: self.name.to_string(),
                         name: sym.name.clone(),
                         expected: "defined function".to_string(),
                     })
                 }
             }
-            if !defined_bodies.insert(f.sym.0) {
+            if std::mem::replace(&mut has_body[f.sym.0 as usize], true) {
                 return Err(ObjectError::DuplicateSymbol {
-                    object: self.name.clone(),
+                    object: self.name.to_string(),
                     name: sym.name.clone(),
                 });
             }
@@ -256,35 +296,35 @@ impl ObjectFile {
                 };
                 if bad_target {
                     return Err(ObjectError::BadJumpTarget {
-                        object: self.name.clone(),
+                        object: self.name.to_string(),
                         func: sym.name.clone(),
                         at: i,
                     });
                 }
             }
         }
-        for d in &self.data {
+        for d in self.data {
             check(d.sym, "data definition")?;
             let sym = self.symbol(d.sym);
             match sym.def {
                 SymDef::Defined { kind: SymKind::Data, .. } => {}
                 _ => {
                     return Err(ObjectError::SymbolKindMismatch {
-                        object: self.name.clone(),
+                        object: self.name.to_string(),
                         name: sym.name.clone(),
                         expected: "defined data".to_string(),
                     })
                 }
             }
-            if !defined_bodies.insert(d.sym.0) {
+            if std::mem::replace(&mut has_body[d.sym.0 as usize], true) {
                 return Err(ObjectError::DuplicateSymbol {
-                    object: self.name.clone(),
+                    object: self.name.to_string(),
                     name: sym.name.clone(),
                 });
             }
             if !d.align.is_power_of_two() {
                 return Err(ObjectError::BadAlignment {
-                    object: self.name.clone(),
+                    object: self.name.to_string(),
                     name: sym.name.clone(),
                     align: d.align,
                 });
@@ -293,7 +333,7 @@ impl ObjectFile {
                 check(r.sym, "data relocation")?;
                 if r.offset + 8 > d.init.len() as u64 {
                     return Err(ObjectError::RelocOutOfRange {
-                        object: self.name.clone(),
+                        object: self.name.to_string(),
                         name: sym.name.clone(),
                         offset: r.offset,
                     });
@@ -301,10 +341,10 @@ impl ObjectFile {
             }
         }
         // Every defined symbol must have a body.
-        for (i, s) in self.symbols.iter().enumerate() {
-            if s.is_defined() && !defined_bodies.contains(&(i as u32)) {
+        for (s, &body) in self.symbols.iter().zip(&has_body) {
+            if s.is_defined() && !body {
                 return Err(ObjectError::MissingBody {
-                    object: self.name.clone(),
+                    object: self.name.to_string(),
                     name: s.name.clone(),
                 });
             }

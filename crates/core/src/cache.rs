@@ -5,10 +5,10 @@
 //! harnesses in this repository — `table1`, `table2`, `build_time`,
 //! `micro_overhead`, repeated `knitc` invocations — rebuild heavily
 //! overlapping unit sets, so [`BuildCache`] lets every build path —
-//! [`BuildSession`](crate::session::BuildSession), the composition
-//! server's [`Engine`](crate::server::Engine), and the deprecated one-shot
-//! [`build_with_cache`](crate::driver::build_with_cache) — skip `cmini`
-//! entirely for any unit whose *content* was compiled before.
+//! [`BuildSession`](crate::session::BuildSession) (one cache may back
+//! many sessions, via [`BuildSession::with_cache`](crate::session::BuildSession::with_cache))
+//! and the composition server's [`Engine`](crate::server::Engine) — skip
+//! `cmini` entirely for any unit whose *content* was compiled before.
 //!
 //! A cache key is a stable 64-bit FNV-1a hash of everything that can affect
 //! a unit's compiled objects:

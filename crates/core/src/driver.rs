@@ -39,7 +39,7 @@ use knit_lang::ast::{AtomicBody, UnitBody, UnitDecl};
 
 use crate::cache::{BuildCache, StableHasher};
 use crate::constraints::ConstraintReport;
-use crate::elaborate::{Elaboration, Wire};
+use crate::elaborate::{ElabInstance, Elaboration, Wire};
 use crate::error::KnitError;
 use crate::model::Program;
 use crate::sched::Schedule;
@@ -239,77 +239,83 @@ pub struct BuildReport {
     pub unit_compiles: Vec<UnitCompile>,
     /// The parallelism this build ran with.
     pub jobs: usize,
-    /// The elaboration (instance graph), for tools and tests.
-    pub elaboration: Elaboration,
+    /// The elaboration (instance graph), for tools and tests — shared with
+    /// the session memo that produced it, not copied.
+    pub elaboration: Arc<Elaboration>,
 }
 
 /// Mangled link-level name for an instance's export member.
 pub fn mangle_export(inst: usize, port: &str, member: &str) -> String {
-    format!("{member}_{port}_i{inst}")
+    let mut s = String::new();
+    push_mangle_export(&mut s, inst, port, member);
+    s
 }
 
 /// Mangled link-level name for an instance-private global.
 pub fn mangle_private(inst: usize, name: &str) -> String {
-    format!("{name}_p{inst}")
+    let mut s = String::new();
+    push_mangle_private(&mut s, inst, name);
+    s
+}
+
+/// Append [`mangle_export`]`(inst, port, member)` to `out`.
+fn push_mangle_export(out: &mut String, inst: usize, port: &str, member: &str) {
+    out.reserve(member.len() + port.len() + 8);
+    out.push_str(member);
+    out.push('_');
+    out.push_str(port);
+    out.push_str("_i");
+    push_decimal(out, inst);
+}
+
+/// Append [`mangle_private`]`(inst, name)` to `out`.
+fn push_mangle_private(out: &mut String, inst: usize, name: &str) {
+    out.reserve(name.len() + 8);
+    out.push_str(name);
+    out.push_str("_p");
+    push_decimal(out, inst);
+}
+
+/// Append `n` in decimal — the hot mangling path's `{n}` without the
+/// formatting machinery.
+fn push_decimal(out: &mut String, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Build `opts.root` from `program` and `tree` into a runnable image,
 /// with a cold (single-use) compile cache.
+///
+/// This is one [`BuildSession`](crate::BuildSession) build that keeps
+/// nothing: the phase memo is thrown away and the report is moved out, not
+/// copied. To rebuild after edits, or to share a compile cache between
+/// builds, use a session ([`BuildSession::with_cache`](crate::BuildSession::with_cache),
+/// or [`SessionHandle`](crate::SessionHandle) across threads).
 pub fn build(
     program: &Program,
     tree: &SourceTree,
     opts: &BuildOptions,
 ) -> Result<BuildReport, KnitError> {
-    // One-shot by design: a cold cache every time is the point here, so
-    // the deprecated shared-cache path is the right implementation.
-    #[allow(deprecated)]
-    build_with_cache(program, tree, opts, &BuildCache::new())
-}
-
-/// Build `opts.root`, compiling through `cache`: units whose content
-/// (preprocessed sources + flags + renames, see [`BuildCache`]) is already
-/// cached skip `cmini` entirely. Reuse one cache across builds to make
-/// rebuilds warm.
-///
-/// # Migration
-///
-/// Deprecated in favour of [`SessionHandle`](crate::SessionHandle), the
-/// thread-safe session facade that also backs the composition server
-/// ([`Server::open_session`](crate::server::Server)). A session keeps the
-/// dependency ledger and per-phase memo between builds, so a rebuild after
-/// a small edit redoes only the affected phases — this function re-runs
-/// everything except the compile cache. Port code like this:
-///
-/// ```
-/// use knit::{BuildOptions, SessionHandle};
-///
-/// let handle = SessionHandle::new(BuildOptions::root("App").jobs(1).build());
-/// handle.load_units("app.unit", r#"
-///     bundletype Main = { main }
-///     unit App = { exports [ main : Main ]; files { "app.c" }; }
-/// "#).unwrap();
-/// handle.update_source("app.c", "int main() { return 7; }");
-/// let cold = handle.build().unwrap();
-/// let warm = handle.build().unwrap(); // full reuse, no work
-/// assert_eq!(cold.image, warm.image);
-/// ```
-///
-/// To share a compile cache across sessions (what the `cache` argument
-/// gave you), open sessions from one [`Engine`](crate::server::Engine).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `SessionHandle` (or `Engine::open_session`) — sessions keep \
-            the dependency ledger between builds and are thread-safe"
-)]
-pub fn build_with_cache(
-    program: &Program,
-    tree: &SourceTree,
-    opts: &BuildOptions,
-    cache: &BuildCache,
-) -> Result<BuildReport, KnitError> {
     let mut memo = crate::session::Memo::default();
     let mut stats = crate::session::SessionStats::default();
-    crate::session::run_build(program, tree, opts, cache, &mut memo, &mut stats, &BTreeSet::new())
+    crate::session::run_build(
+        program,
+        tree,
+        opts,
+        &BuildCache::new(),
+        &mut memo,
+        &mut stats,
+        &BTreeSet::new(),
+    )
 }
 
 /// Run `task(0..n)` on up to `jobs` scoped worker threads and return the
@@ -366,14 +372,23 @@ pub(crate) fn flatten_opts(opts: &BuildOptions) -> CompileOptions {
 /// [`BuildCache`], by every later build of the same content.
 #[derive(Debug)]
 pub struct CompiledUnit {
-    /// Parsed translation units (for flattening).
-    pub(crate) tus: Vec<cmini::ast::TranslationUnit>,
+    /// Each C source as `(file, preprocessed text)`, kept for flattening:
+    /// [`CompiledUnit::parse_sources`] re-runs the front end for the rare
+    /// flatten group instead of every unit keeping a parsed copy.
+    pub(crate) sources: Vec<(String, String)>,
     /// Compiled objects, one per source file.
     pub(crate) objects: Vec<ObjectFile>,
-    /// All link-visible names defined across the objects.
-    pub(crate) defined: BTreeSet<String>,
-    /// All undefined references across the objects.
-    pub(crate) undefined: BTreeSet<String>,
+}
+
+impl CompiledUnit {
+    /// The unit's translation units, parsed again from the preprocessed
+    /// sources (deterministic, so identical to the compile's own parse).
+    pub(crate) fn parse_sources(&self) -> Result<Vec<cmini::ast::TranslationUnit>, KnitError> {
+        self.sources
+            .iter()
+            .map(|(file, expanded)| Ok(cmini::frontend_expanded(file, expanded)?))
+            .collect()
+    }
 }
 
 /// One resolved `files { … }` entry, preprocessed and ready to hash or
@@ -427,7 +442,7 @@ impl cmini::FileProvider for RecordingTree<'_> {
     }
 }
 
-/// Compile `unit_name` through the cache.
+/// Compile `unit` through the cache.
 ///
 /// The key hashes everything that can change the compiled objects — the
 /// preprocessed text of every source, the structure of every pre-compiled
@@ -439,11 +454,11 @@ impl cmini::FileProvider for RecordingTree<'_> {
 pub(crate) fn compile_unit_cached(
     program: &Program,
     tree: &SourceTree,
-    unit_name: &str,
+    unit: &UnitDecl,
     opts: &BuildOptions,
     cache: &BuildCache,
 ) -> Result<UnitBuild, KnitError> {
-    let unit = &program.units[unit_name];
+    let unit_name = unit.name.as_str();
     let body = atomic_body(unit);
     let flags: Vec<String> = match &body.flags {
         Some(name) => program.flags[name].clone(),
@@ -492,10 +507,8 @@ pub(crate) fn compile_unit_cached(
     }
 
     // --- miss: run the compiler over the preprocessed inputs ---
-    let mut tus = Vec::new();
+    let mut sources = Vec::new();
     let mut objects = Vec::new();
-    let mut defined = BTreeSet::new();
-    let mut undefined = BTreeSet::new();
     for input in inputs {
         match input {
             FileInput::Object(obj) => {
@@ -503,23 +516,17 @@ pub(crate) fn compile_unit_cached(
                     unit: unit_name.to_string(),
                     what: format!("pre-compiled object `{}` is invalid: {e}", obj.name),
                 })?;
-                defined.extend(obj.exported_names().iter().map(|s| s.to_string()));
-                undefined.extend(obj.undefined_names().iter().map(|s| s.to_string()));
                 objects.push(obj);
             }
             FileInput::Source { file, expanded } => {
                 let tu = cmini::frontend_expanded(&file, &expanded)?;
-                let obj = cmini::backend(tu.clone(), &copts)?;
-                defined.extend(obj.exported_names().iter().map(|s| s.to_string()));
-                undefined.extend(obj.undefined_names().iter().map(|s| s.to_string()));
-                tus.push(tu);
+                let obj = cmini::backend(tu, &copts)?;
+                sources.push((file, expanded));
                 objects.push(obj);
             }
         }
     }
-    // cross-file references inside the unit are not "undefined"
-    undefined.retain(|n| !defined.contains(n));
-    let cu = Arc::new(CompiledUnit { tus, objects, defined, undefined });
+    let cu = Arc::new(CompiledUnit { sources, objects });
     cache.insert(key, Arc::clone(&cu));
     Ok(UnitBuild { cu, key, cache_hit: false, reads: recorder.reads.into_inner() })
 }
@@ -532,91 +539,221 @@ pub(crate) fn atomic_body(unit: &UnitDecl) -> &AtomicBody {
 }
 
 /// The C identifier of a port member, after the unit's `rename` clauses.
-pub(crate) fn c_id(body: &AtomicBody, port: &str, member: &str) -> String {
+pub(crate) fn c_id<'a>(body: &'a AtomicBody, port: &str, member: &'a str) -> &'a str {
     body.renames
         .iter()
         .find(|r| r.port == port && r.member == member)
-        .map(|r| r.to.clone())
-        .unwrap_or_else(|| member.to_string())
+        .map_or(member, |r| r.to.as_str())
 }
 
-/// Build the link-level symbol map for one instance: exports to their
-/// mangles, imports to their providers' mangles (or raw member names when
-/// wired to the external world), everything else defined by the unit to a
-/// private per-instance mangle. Errors reproduce Knit's checks: missing
-/// export definitions, import/export C-identifier conflicts (→ rename),
-/// and references to symbols that are neither imported nor defined.
-pub(crate) fn instance_symbol_map(
-    program: &Program,
-    el: &Elaboration,
-    inst_id: usize,
-    cu: &CompiledUnit,
-) -> Result<BTreeMap<String, String>, KnitError> {
-    let inst = &el.instances[inst_id];
-    let unit = &program.units[inst.unit.as_str()];
-    let body = atomic_body(unit);
-    let mut map: BTreeMap<String, String> = BTreeMap::new();
+/// What one C identifier of a unit becomes at link level.
+#[derive(Debug, Clone, Copy)]
+enum LinkName<'a> {
+    /// Member `member` of export port `port`: the instance's own mangle.
+    Export { port: &'a str, member: &'a str },
+    /// Member `member` of import port `port`: the provider's mangle, or the
+    /// raw member name when the port is wired to the external world.
+    Import { port: &'a str, member: &'a str },
+    /// Any other global the unit defines: an instance-private mangle.
+    Private,
+}
 
-    // exports
-    let mut export_cids: BTreeMap<String, (String, String)> = BTreeMap::new();
-    for p in &unit.exports {
-        for member in program.members_of(&p.bundle_type).expect("validated") {
-            let cid = c_id(body, &p.name, member);
-            if export_cids.insert(cid.clone(), (p.name.clone(), member.clone())).is_some() {
-                return Err(KnitError::NeedsRename { unit: unit.name.clone(), c_name: cid });
+/// The link-level naming facts of one compiled unit, shared by all of its
+/// instances: which C identifiers an instance renames and what each
+/// becomes, and which symbol-table entries of each object a rename
+/// touches. Only the mangled targets differ between instances
+/// ([`UnitLinks::instance`]).
+#[derive(Debug)]
+pub(crate) struct UnitLinks<'a> {
+    /// The renamed C identifiers, sorted, with what each becomes.
+    names: Vec<(&'a str, LinkName<'a>)>,
+    /// Per object of the unit, per symbol-table entry: the position in
+    /// `names` of its C identifier, for link-visible entries that have one.
+    renames: Vec<Vec<Option<u32>>>,
+    /// The first undefined reference (in name order) that neither an import
+    /// nor a definition covers — an error for every instance.
+    unbound: Option<&'a str>,
+}
+
+impl<'a> UnitLinks<'a> {
+    /// Compute the tables of the unit declared as `unit`, whose bundle
+    /// types' members `members` looks up. Errors reproduce Knit's checks:
+    /// missing export definitions, import/export C-identifier conflicts
+    /// (→ rename), and undefined initializers/finalizers; an unbound
+    /// reference is kept for [`UnitLinks::unbound`], since its diagnostic
+    /// names the instance.
+    pub(crate) fn new(
+        unit: &'a UnitDecl,
+        members: impl Fn(&str) -> &'a [String],
+        cu: &'a CompiledUnit,
+    ) -> Result<UnitLinks<'a>, KnitError> {
+        let body = atomic_body(unit);
+        // All link-visible names defined across the objects, and every
+        // undefined reference — sorted, deduplicated name lists.
+        let names_where = |pick: fn(&cobj::Symbol) -> bool| {
+            let mut v: Vec<&'a str> = cu
+                .objects
+                .iter()
+                .flat_map(|o| o.symbols.iter().filter(|s| pick(s)).map(|s| s.name.as_str()))
+                .collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        let defined = names_where(cobj::Symbol::is_global_def);
+        let is_defined = |n: &str| defined.binary_search(&n).is_ok();
+
+        // Port members first (a handful per unit: linear scans beat any
+        // index), then the private globals, then one sort.
+        let mut names: Vec<(&'a str, LinkName<'a>)> = Vec::new();
+        let needs_rename =
+            |cid: &str| KnitError::NeedsRename { unit: unit.name.clone(), c_name: cid.to_string() };
+        for p in &unit.exports {
+            for member in members(&p.bundle_type) {
+                let cid = c_id(body, &p.name, member);
+                if names.iter().any(|(n, _)| *n == cid) {
+                    return Err(needs_rename(cid));
+                }
+                if !is_defined(cid) {
+                    return Err(KnitError::BadDeclaration {
+                        unit: unit.name.clone(),
+                        what: format!(
+                            "export `{}.{member}` should be defined as C symbol `{cid}`, but no file defines it",
+                            p.name
+                        ),
+                    });
+                }
+                names.push((cid, LinkName::Export { port: &p.name, member }));
             }
-            if !cu.defined.contains(&cid) {
+        }
+        for p in &unit.imports {
+            for member in members(&p.bundle_type) {
+                let cid = c_id(body, &p.name, member);
+                if names.iter().any(|(n, _)| *n == cid) {
+                    return Err(needs_rename(cid));
+                }
+                names.push((cid, LinkName::Import { port: &p.name, member }));
+            }
+        }
+        let n_ports = names.len();
+        let is_port = |n: &str| names[..n_ports].iter().any(|(p, _)| *p == n);
+        // initializers/finalizers must be defined
+        for d in body.initializers.iter().chain(body.finalizers.iter()) {
+            if !is_defined(&d.func) && !is_port(&d.func) {
                 return Err(KnitError::BadDeclaration {
                     unit: unit.name.clone(),
-                    what: format!(
-                        "export `{}.{member}` should be defined as C symbol `{cid}`, but no file defines it",
-                        p.name
-                    ),
+                    what: format!("initializer/finalizer `{}` is not defined by the unit", d.func),
                 });
             }
-            map.insert(cid, mangle_export(inst_id, &p.name, member));
         }
+        // remaining defined globals become instance-private
+        let privates: Vec<&'a str> =
+            defined.iter().copied().filter(|n| !is_port(n) && !n.starts_with("__")).collect();
+        // remaining undefined references must be runtime symbols (cross-file
+        // references inside the unit are not "undefined")
+        let unbound = names_where(|s| s.def == cobj::SymDef::Undefined)
+            .into_iter()
+            .find(|n| !is_defined(n) && !is_port(n) && !n.starts_with("__"));
+        names.extend(privates.into_iter().map(|n| (n, LinkName::Private)));
+        names.sort_unstable_by_key(|&(cid, _)| cid);
+        let renames = cu
+            .objects
+            .iter()
+            .map(|obj| {
+                obj.symbols
+                    .iter()
+                    .map(|s| {
+                        let local = matches!(s.def, cobj::SymDef::Defined { local: true, .. });
+                        let pos = names.binary_search_by(|(cid, _)| (*cid).cmp(s.name.as_str()));
+                        pos.ok().filter(|_| !local).map(|p| p as u32)
+                    })
+                    .collect()
+            })
+            .collect();
+        Ok(UnitLinks { names, renames, unbound })
     }
-    // imports
-    for p in &unit.imports {
-        let wire = inst.imports.get(p.name.as_str()).expect("elaboration wired every import");
-        for member in program.members_of(&p.bundle_type).expect("validated") {
-            let cid = c_id(body, &p.name, member);
-            if export_cids.contains_key(&cid) || map.contains_key(&cid) {
-                return Err(KnitError::NeedsRename { unit: unit.name.clone(), c_name: cid });
+
+    /// The first undefined reference that neither an import nor a
+    /// definition covers: every instance of the unit is an
+    /// [`KnitError::UnboundSymbol`] naming it.
+    pub(crate) fn unbound(&self) -> Option<&'a str> {
+        self.unbound
+    }
+
+    /// The link-level symbol map of instance `inst` of this unit.
+    pub(crate) fn instance(&'a self, inst: &'a ElabInstance) -> SymbolMap<'a> {
+        SymbolMap { links: self, inst }
+    }
+}
+
+/// One instance's link-level symbol map, C identifier → link-level name:
+/// exports to their mangles, imports to their providers' mangles (or raw
+/// member names when wired to the external world), everything else the
+/// unit defines to a private per-instance mangle. It lives over its unit's
+/// shared [`UnitLinks`] and spells each name only when asked, so building
+/// one allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SymbolMap<'a> {
+    links: &'a UnitLinks<'a>,
+    inst: &'a ElabInstance,
+}
+
+impl<'a> SymbolMap<'a> {
+    /// The new name of symbol-table entry `sym` of the unit's object
+    /// `object`, if this instance renames it.
+    pub(crate) fn rename(&self, object: usize, sym: usize) -> Option<String> {
+        self.links.renames[object][sym].map(|pos| self.target(pos as usize))
+    }
+
+    /// Append the link-level name at position `pos` to `out`.
+    fn push_target(&self, pos: usize, out: &mut String) {
+        let (cid, name) = self.links.names[pos];
+        match name {
+            LinkName::Export { port, member } => {
+                push_mangle_export(out, self.inst.id, port, member)
             }
-            let target = match wire {
-                Wire::Export { instance, port } => mangle_export(*instance, port, member),
-                Wire::External { .. } => member.clone(),
-            };
-            map.insert(cid, target);
+            LinkName::Import { port, member } => {
+                match self.inst.imports.get(port).expect("elaboration wired every import") {
+                    Wire::Export { instance, port } => {
+                        push_mangle_export(out, *instance, port, member)
+                    }
+                    Wire::External { .. } => out.push_str(member),
+                }
+            }
+            LinkName::Private => push_mangle_private(out, self.inst.id, cid),
         }
     }
-    // initializers/finalizers must be defined
-    for d in body.initializers.iter().chain(body.finalizers.iter()) {
-        if !cu.defined.contains(&d.func) && !map.contains_key(&d.func) {
-            return Err(KnitError::BadDeclaration {
-                unit: unit.name.clone(),
-                what: format!("initializer/finalizer `{}` is not defined by the unit", d.func),
-            });
+
+    /// The link-level name at position `pos`.
+    fn target(&self, pos: usize) -> String {
+        let mut out = String::new();
+        self.push_target(pos, &mut out);
+        out
+    }
+
+    /// The link-level name C identifier `cid` is renamed to, if any.
+    pub(crate) fn get(&self, cid: &str) -> Option<String> {
+        let pos = self.links.names.binary_search_by(|(n, _)| (*n).cmp(cid)).ok()?;
+        Some(self.target(pos))
+    }
+
+    /// Every `(C identifier, link-level name)` pair, in C-identifier order.
+    pub(crate) fn to_map(self) -> BTreeMap<String, String> {
+        let names = self.links.names.iter().enumerate();
+        names.map(|(pos, (cid, _))| (cid.to_string(), self.target(pos))).collect()
+    }
+
+    /// Hash every `(C identifier, link-level name)` pair in C-identifier
+    /// order.
+    pub(crate) fn hash_into(&self, h: &mut StableHasher) {
+        let mut buf = String::new();
+        for (pos, (cid, _)) in self.links.names.iter().enumerate() {
+            h.write_str(cid);
+            buf.clear();
+            self.push_target(pos, &mut buf);
+            h.write_str(&buf);
         }
     }
-    // remaining defined globals become instance-private
-    for name in &cu.defined {
-        if !map.contains_key(name) && !name.starts_with("__") {
-            map.insert(name.clone(), mangle_private(inst_id, name));
-        }
-    }
-    // remaining undefined references must be runtime symbols
-    for name in &cu.undefined {
-        if !map.contains_key(name) && !name.starts_with("__") {
-            return Err(KnitError::UnboundSymbol {
-                instance: inst.path.clone(),
-                symbol: name.clone(),
-            });
-        }
-    }
-    Ok(map)
 }
 
 /// Link-visible names a flatten group must keep: exports wired to
@@ -627,7 +764,7 @@ pub(crate) fn group_externals(
     el: &Elaboration,
     group: &BTreeSet<usize>,
     schedule: &Schedule,
-    maps: &[BTreeMap<String, String>],
+    maps: &[SymbolMap<'_>],
 ) -> BTreeSet<String> {
     let mut ext: BTreeSet<String> = BTreeSet::new();
     fn add_port(
@@ -667,7 +804,7 @@ pub(crate) fn group_externals(
     for (inst, func) in schedule.inits.iter().chain(schedule.finis.iter()) {
         if group.contains(inst) {
             if let Some(m) = maps[*inst].get(func) {
-                ext.insert(m.clone());
+                ext.insert(m);
             }
         }
     }
@@ -694,7 +831,7 @@ pub(crate) fn boot_object(
     program: &Program,
     el: &Elaboration,
     schedule: &Schedule,
-    maps: &[BTreeMap<String, String>],
+    maps: &[SymbolMap<'_>],
     opts: &BuildOptions,
 ) -> Result<(ObjectFile, BTreeMap<String, String>), KnitError> {
     let mut obj = ObjectFile::new("__knit_boot.o");
@@ -703,7 +840,7 @@ pub(crate) fn boot_object(
     let start_sym = obj.add_symbol(Symbol::func("__start"));
 
     let resolve = |inst: usize, func: &str| -> String {
-        maps[inst].get(func).cloned().unwrap_or_else(|| func.to_string())
+        maps[inst].get(func).unwrap_or_else(|| func.to_string())
     };
 
     // __knit_init

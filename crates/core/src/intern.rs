@@ -26,29 +26,14 @@
 use std::borrow::Borrow;
 use std::collections::HashSet;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::sync::RwLock;
 
-/// FNV-1a. The interner probes with short identifier strings on the
-/// elaboration hot path; the default SipHash costs more than the probe
-/// itself, and an interner needs no DoS resistance — its keys come from
-/// source text the user already controls.
-#[derive(Default)]
-pub struct FnvHasher(u64);
-
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 { 0xcbf2_9ce4_8422_2325 } else { self.0 };
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
+/// FNV-1a (shared with the linker's tables). The interner probes with
+/// short identifier strings on the elaboration hot path; the default
+/// SipHash costs more than the probe itself, and an interner needs no DoS
+/// resistance — its keys come from source text the user already controls.
+pub use cobj::fnv::FnvHasher;
 
 type FnvSet = HashSet<&'static str, BuildHasherDefault<FnvHasher>>;
 

@@ -138,6 +138,9 @@ pub struct UnitSyms {
     pub export_binds: Vec<(Sym, Sym, Sym)>,
     /// Where the unit was declared: `(file, position)`.
     pub site: (Sym, Span),
+    /// Initializer-scheduling facts, shared by every schedule of the
+    /// program (builds and lints alike).
+    pub deps: Box<crate::sched::UnitDeps>,
 }
 
 /// One interned `name : Unit [ bindings ]` instantiation.
@@ -202,6 +205,7 @@ impl UnitSyms {
             insts,
             export_binds,
             site: (Sym::new(file), u.span),
+            deps: Box::new(crate::sched::UnitDeps::extract(u)),
         }
     }
 }

@@ -1486,10 +1486,12 @@ pub fn decode_image_bytes(bytes: &[u8]) -> Result<Image, String> {
 
 /// Encode an image as a lowercase-hex string for the JSON wire.
 pub fn encode_image(img: &Image) -> String {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     let bytes = encode_image_bytes(img);
     let mut out = String::with_capacity(bytes.len() * 2);
     for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+        out.push(HEX[usize::from(b >> 4)] as char);
+        out.push(HEX[usize::from(b & 0xf)] as char);
     }
     out
 }
@@ -1735,12 +1737,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // consume one UTF-8 scalar
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next quote or escape.
+                    // Both are ASCII, so the run ends on a scalar boundary
+                    // and is validated once: decoding stays linear in the
+                    // line length, however long the string.
+                    let run = &self.bytes[self.pos..];
+                    let len =
+                        run.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(run.len());
+                    let text = std::str::from_utf8(&run[..len])
                         .map_err(|_| "json: bad utf-8".to_string())?;
-                    let c = rest.chars().next().expect("nonempty");
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    s.push_str(text);
+                    self.pos += len;
                 }
             }
         }

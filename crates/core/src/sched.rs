@@ -20,21 +20,25 @@
 //!
 //! # Scaling (DESIGN.md §13)
 //!
-//! Everything here runs on dense indices: per-unit dependency info is
-//! extracted once per distinct unit (not per instance), initializers and
-//! export ports get integer ids, the usable-set fixpoint is a worklist
-//! over wire edges instead of repeated full passes, and the topological
-//! sorts are layered counting Kahn rounds. The produced schedule — and
-//! every error, including reported cycle paths — is identical to the
-//! original map-of-strings implementation; only the asymptotics changed.
+//! Everything here runs on dense indices. Per-unit dependency facts
+//! ([`UnitDeps`]: ports, initializers and `needs` lists as positions) are
+//! extracted once per registered unit and cached on the [`Program`] next
+//! to its interned symbols, so every build and every lint of the program
+//! shares them. Initializers and export ports get integer ids, the
+//! usable-set fixpoint is a worklist over wire edges whose sets are sorted
+//! id vectors merged in linear time, and the topological sorts are layered
+//! counting Kahn rounds. The produced schedule — and every error,
+//! including reported cycle paths — is identical to the original
+//! map-of-strings implementation; only the asymptotics changed.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use knit_lang::ast::{DepAtom, DepSide, UnitBody, UnitDecl};
 
 use crate::elaborate::{Elaboration, Wire};
 use crate::error::KnitError;
-use crate::model::Program;
+use crate::intern::Sym;
+use crate::model::{Program, UnitSyms};
 
 /// One scheduled call: (instance id, C function name).
 pub type InitKey = (usize, String);
@@ -55,162 +59,251 @@ impl Schedule {
     }
 }
 
-/// Per-unit dependency info extracted from the unit declaration (shared by
-/// every instance of the unit).
-struct UnitDeps {
-    /// export port -> declared import-port deps
-    port_deps: BTreeMap<String, BTreeSet<String>>,
-    /// init/fini function name -> declared import-port deps
-    func_deps: BTreeMap<String, BTreeSet<String>>,
-    /// export port -> initializers registered `for` it (declaration order)
-    inits_for: BTreeMap<String, Vec<String>>,
-    /// all initializers (declaration order)
+/// Per-unit dependency facts, shared by every instance of the unit. Ports
+/// are positions in the unit's import/export lists (as interned in its
+/// [`UnitSyms`]); initializers and finalizers are positions in
+/// `inits`/`finis`.
+#[derive(Debug, Clone, Default)]
+pub struct UnitDeps {
+    /// Per export port: the import ports it needs (export-level deps).
+    port_deps: Vec<Vec<u32>>,
+    /// Per export port: the initializers registered `for` it, in
+    /// declaration order.
+    inits_for: Vec<Vec<u32>>,
+    /// All initializers, declaration order.
     inits: Vec<String>,
-    /// all finalizers (declaration order)
+    /// Per initializer: the import ports it needs (initializer-level deps).
+    init_deps: Vec<Vec<u32>>,
+    /// All finalizers, declaration order.
     finis: Vec<String>,
-    /// export port name -> declaration position
-    export_pos: HashMap<String, usize>,
-    /// number of export ports
-    n_exports: usize,
+    /// Per finalizer: the import ports it needs.
+    fini_deps: Vec<Vec<u32>>,
+    /// Per finalizer: the position that names it (a name declared twice
+    /// resolves to its last declaration, as a by-name table would).
+    fini_ids: Vec<u32>,
 }
 
-fn extract(unit: &UnitDecl) -> UnitDeps {
-    let mut d = UnitDeps {
-        port_deps: BTreeMap::new(),
-        func_deps: BTreeMap::new(),
-        inits_for: BTreeMap::new(),
-        inits: Vec::new(),
-        finis: Vec::new(),
-        export_pos: unit.exports.iter().enumerate().map(|(i, p)| (p.name.clone(), i)).collect(),
-        n_exports: unit.exports.len(),
-    };
-    let a = match &unit.body {
-        UnitBody::Atomic(a) => a,
-        UnitBody::Compound(_) => return d,
-    };
-    let import_ports: Vec<String> = unit.imports.iter().map(|p| p.name.clone()).collect();
-    let export_ports: Vec<String> = unit.exports.iter().map(|p| p.name.clone()).collect();
-    let init_names: BTreeSet<&str> =
-        a.initializers.iter().chain(a.finalizers.iter()).map(|i| i.func.as_str()).collect();
-
-    for dep in &a.depends {
-        let rhs: BTreeSet<String> = dep
-            .rhs
-            .iter()
-            .flat_map(|atom| match atom {
-                DepAtom::Imports => import_ports.clone(),
-                DepAtom::Name(n) => vec![n.clone()],
-            })
-            .collect();
-        match &dep.lhs {
-            DepSide::Exports => {
-                for p in &export_ports {
-                    d.port_deps.entry(p.clone()).or_default().extend(rhs.iter().cloned());
+impl UnitDeps {
+    /// Extract the dependency facts of `unit` (empty for compounds, which
+    /// are never scheduled themselves).
+    pub(crate) fn extract(unit: &UnitDecl) -> UnitDeps {
+        let mut d = UnitDeps {
+            port_deps: vec![Vec::new(); unit.exports.len()],
+            inits_for: vec![Vec::new(); unit.exports.len()],
+            ..UnitDeps::default()
+        };
+        let UnitBody::Atomic(a) = &unit.body else { return d };
+        let import_pos = |n: &str| unit.imports.iter().position(|p| p.name == n);
+        let export_pos = |n: &str| unit.exports.iter().position(|p| p.name == n);
+        // last declaration wins, for initializer and finalizer names alike
+        let last = |list: &[knit_lang::ast::InitDecl], n: &str| {
+            list.iter().rposition(|i| i.func == n).map(|p| p as u32)
+        };
+        d.inits = a.initializers.iter().map(|i| i.func.clone()).collect();
+        d.finis = a.finalizers.iter().map(|f| f.func.clone()).collect();
+        d.init_deps = vec![Vec::new(); d.inits.len()];
+        d.fini_deps = vec![Vec::new(); d.finis.len()];
+        d.fini_ids = d.finis.iter().map(|f| last(&a.finalizers, f).expect("declared")).collect();
+        for dep in &a.depends {
+            let mut rhs: Vec<u32> = Vec::new();
+            for atom in &dep.rhs {
+                match atom {
+                    DepAtom::Imports => rhs.extend(0..unit.imports.len() as u32),
+                    DepAtom::Name(n) => rhs.extend(import_pos(n).map(|p| p as u32)),
                 }
             }
-            DepSide::Name(n) => {
-                if init_names.contains(n.as_str()) {
-                    d.func_deps.entry(n.clone()).or_default().extend(rhs.iter().cloned());
-                } else {
-                    d.port_deps.entry(n.clone()).or_default().extend(rhs.iter().cloned());
+            let mut add = |list: &mut Vec<u32>| list.extend(&rhs);
+            match &dep.lhs {
+                DepSide::Exports => d.port_deps.iter_mut().for_each(&mut add),
+                DepSide::Name(n) => {
+                    let is_func = d.inits.contains(n) || d.finis.contains(n);
+                    if is_func {
+                        for (f, deps) in d.inits.iter().zip(&mut d.init_deps) {
+                            if f == n {
+                                add(deps);
+                            }
+                        }
+                        for (f, deps) in d.finis.iter().zip(&mut d.fini_deps) {
+                            if f == n {
+                                add(deps);
+                            }
+                        }
+                    } else if let Some(p) = export_pos(n) {
+                        add(&mut d.port_deps[p]);
+                    }
+                }
+            }
+        }
+        for list in d.port_deps.iter_mut().chain(&mut d.init_deps).chain(&mut d.fini_deps) {
+            list.sort_unstable();
+            list.dedup();
+        }
+        for i in &a.initializers {
+            if let Some(p) = export_pos(&i.bundle) {
+                d.inits_for[p].push(last(&a.initializers, &i.func).expect("declared"));
+            }
+        }
+        d
+    }
+}
+
+/// Position of export port `port` in `unit`, if it has one.
+fn export_pos(unit: &UnitSyms, port: Sym) -> Option<usize> {
+    unit.exports.iter().position(|&(p, _)| p == port)
+}
+
+/// `dst ∪= src` over sorted, deduplicated id lists; true when `dst` grew.
+fn union_into(dst: &mut Vec<u32>, src: &[u32]) -> bool {
+    if src.is_empty() {
+        return false;
+    }
+    let mut merged: Vec<u32> = Vec::with_capacity(dst.len() + src.len());
+    let (mut i, mut j) = (0, 0);
+    while i < dst.len() && j < src.len() {
+        let (a, b) = (dst[i], src[j]);
+        merged.push(a.min(b));
+        i += usize::from(a <= b);
+        j += usize::from(b <= a);
+    }
+    merged.extend_from_slice(&dst[i..]);
+    merged.extend_from_slice(&src[j..]);
+    let grew = merged.len() != dst.len();
+    if grew {
+        *dst = merged;
+    }
+    grew
+}
+
+/// Every node of the graph `srcs` (node → the nodes it reads), each after
+/// the nodes it reads, except where a cycle makes that impossible: a
+/// depth-first postorder, visiting roots and edges in index order.
+fn sources_first(srcs: &[Vec<u32>]) -> Vec<u32> {
+    let mut seen = vec![false; srcs.len()];
+    let mut order = Vec::with_capacity(srcs.len());
+    let mut stack: Vec<(u32, usize)> = Vec::new();
+    for root in 0..srcs.len() as u32 {
+        if std::mem::replace(&mut seen[root as usize], true) {
+            continue;
+        }
+        stack.push((root, 0));
+        while let Some(top) = stack.len().checked_sub(1) {
+            let (t, next) = stack[top];
+            match srcs[t as usize].get(next) {
+                Some(&g) => {
+                    stack[top].1 += 1;
+                    if !std::mem::replace(&mut seen[g as usize], true) {
+                        stack.push((g, 0));
+                    }
+                }
+                None => {
+                    order.push(t);
+                    stack.pop();
                 }
             }
         }
     }
-    for i in &a.initializers {
-        d.inits_for.entry(i.bundle.clone()).or_default().push(i.func.clone());
-        d.inits.push(i.func.clone());
-    }
-    for f in &a.finalizers {
-        d.finis.push(f.func.clone());
-    }
-    d
+    order
 }
 
 /// Compute the initialization and finalization schedule.
 pub fn schedule(program: &Program, el: &Elaboration) -> Result<Schedule, KnitError> {
-    // Dependency info once per distinct unit; instances share it.
-    let mut unit_deps: HashMap<&str, UnitDeps> = HashMap::new();
-    for inst in &el.instances {
-        let name = inst.unit.as_str();
-        if !unit_deps.contains_key(name) {
-            unit_deps.insert(name, extract(&program.units[name]));
-        }
-    }
-    let deps: Vec<&UnitDeps> = el.instances.iter().map(|i| &unit_deps[i.unit.as_str()]).collect();
-
-    // Dense export-port ids: per-instance offset + declaration position.
+    // Dependency facts were extracted when each unit was registered;
+    // instances share their unit's table.
     let n_insts = el.instances.len();
-    let mut port_off: Vec<usize> = Vec::with_capacity(n_insts);
-    let mut n_ports = 0usize;
-    for d in &deps {
-        port_off.push(n_ports);
-        n_ports += d.n_exports;
-    }
-    let port_ix = |inst: usize, port: &str| -> Option<usize> {
-        deps[inst].export_pos.get(port).map(|&p| port_off[inst] + p)
-    };
-
-    // Dense initializer ids, in (instance order, declaration order) — the
-    // stable "pos" order the topological sorts break ties by.
-    let mut keys: Vec<InitKey> = Vec::new();
-    let mut init_id: HashMap<(usize, &str), u32> = HashMap::new();
-    for inst in &el.instances {
-        for f in &deps[inst.id].inits {
-            init_id.insert((inst.id, f.as_str()), keys.len() as u32);
-            keys.push((inst.id, f.clone()));
+    let mut units: Vec<Option<&UnitSyms>> = vec![None; n_insts];
+    for (unit, ids) in &el.by_unit {
+        let syms = &program.syms[unit.as_str()];
+        for &id in ids {
+            units[id] = Some(syms);
         }
+    }
+    let units: Vec<&UnitSyms> =
+        units.into_iter().map(|u| u.expect("by_unit indexes every instance")).collect();
+    let deps: Vec<&UnitDeps> = units.iter().map(|u| &*u.deps).collect();
+
+    // Dense export-port ids: per-instance offset + declaration position;
+    // dense initializer/finalizer ids likewise, in (instance order,
+    // declaration order) — the stable "pos" order the topological sorts
+    // break ties by.
+    let mut port_off: Vec<usize> = Vec::with_capacity(n_insts);
+    let mut init_off: Vec<u32> = Vec::with_capacity(n_insts);
+    let mut fini_off: Vec<u32> = Vec::with_capacity(n_insts);
+    let mut n_ports = 0usize;
+    let mut keys: Vec<InitKey> = Vec::new();
+    let mut fini_keys: Vec<InitKey> = Vec::new();
+    for (inst, d) in deps.iter().enumerate() {
+        port_off.push(n_ports);
+        n_ports += units[inst].exports.len();
+        init_off.push(keys.len() as u32);
+        keys.extend(d.inits.iter().map(|f| (inst, f.clone())));
+        fini_off.push(fini_keys.len() as u32);
+        fini_keys.extend(d.finis.iter().map(|f| (inst, f.clone())));
     }
     let n_inits = keys.len();
-
-    // --- fixpoint: usable(inst, port) = initializers needed before the
-    // functions of that export port may be called ---
-    let mut usable: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); n_ports];
-    for inst in &el.instances {
-        let d = deps[inst.id];
-        for (p, fs) in &d.inits_for {
-            if let Some(ix) = port_ix(inst.id, p) {
-                usable[ix].extend(fs.iter().map(|f| init_id[&(inst.id, f.as_str())]));
-            }
+    // The instance and export port behind import `k` of instance `inst`,
+    // when it is wired to another instance.
+    let provider = |inst: usize, k: u32| -> Option<(usize, Sym)> {
+        match el.instances[inst].imports.get(&units[inst].imports[k as usize].0) {
+            Some(Wire::Export { instance, port }) => Some((*instance, *port)),
+            _ => None,
         }
-    }
+    };
+    // The dense id of that provider port.
+    let wired = |inst: usize, k: u32| -> Option<usize> {
+        let (p, port) = provider(inst, k)?;
+        export_pos(units[p], port).map(|pos| port_off[p] + pos)
+    };
+
+    // --- fixpoint: usable(port) = initializers needed before the
+    // functions of that export port may be called ---
+    let mut usable: Vec<Vec<u32>> = vec![Vec::new(); n_ports];
     // Wire edges: srcs[t] = provider ports feeding target port t;
     // consumers[g] = target ports reading provider port g.
-    let mut srcs: Vec<Vec<usize>> = vec![Vec::new(); n_ports];
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n_ports];
-    for inst in &el.instances {
-        let d = deps[inst.id];
-        for (p, dports) in &d.port_deps {
-            let Some(t) = port_ix(inst.id, p) else { continue };
-            for dport in dports {
-                if let Some(Wire::Export { instance, port }) = inst.imports.get(dport.as_str()) {
-                    if let Some(g) = port_ix(*instance, port.as_str()) {
-                        srcs[t].push(g);
-                        consumers[g].push(t);
-                    }
+    let mut srcs: Vec<Vec<u32>> = vec![Vec::new(); n_ports];
+    let mut consumers: Vec<Vec<u32>> = vec![Vec::new(); n_ports];
+    for (inst, d) in deps.iter().enumerate() {
+        for (p, fs) in d.inits_for.iter().enumerate() {
+            let set = &mut usable[port_off[inst] + p];
+            set.extend(fs.iter().map(|&f| init_off[inst] + f));
+            set.sort_unstable();
+            set.dedup();
+        }
+        for (p, needs) in d.port_deps.iter().enumerate() {
+            let t = port_off[inst] + p;
+            for &k in needs {
+                if let Some(g) = wired(inst, k) {
+                    srcs[t].push(g as u32);
+                    consumers[g].push(t as u32);
                 }
             }
         }
     }
     // Worklist: recompute a port's set when one of its sources grew. Sets
-    // only grow, so the fixpoint (a pure union) is order-independent.
-    let mut queue: VecDeque<usize> = (0..n_ports).filter(|&t| !srcs[t].is_empty()).collect();
+    // only grow, so the fixpoint (a pure union) is order-independent; the
+    // queue starts sources-first, so on acyclic wiring every port is final
+    // at its first visit and only ports on a wiring cycle are revisited.
+    let mut queue: VecDeque<u32> =
+        sources_first(&srcs).into_iter().filter(|&t| !srcs[t as usize].is_empty()).collect();
     let mut queued: Vec<bool> = vec![false; n_ports];
     for &t in &queue {
-        queued[t] = true;
+        queued[t as usize] = true;
     }
+    let mut acc: Vec<u32> = Vec::new();
     while let Some(t) = queue.pop_front() {
+        let t = t as usize;
         queued[t] = false;
-        let before = usable[t].len();
-        let mut add: BTreeSet<u32> = BTreeSet::new();
+        acc.clone_from(&usable[t]);
+        let mut grew = false;
         for &g in &srcs[t] {
-            add.extend(usable[g].iter().copied());
+            if g as usize != t {
+                grew |= union_into(&mut acc, &usable[g as usize]);
+            }
         }
-        usable[t].extend(add);
-        if usable[t].len() != before {
+        if grew {
+            std::mem::swap(&mut usable[t], &mut acc);
             for &c in &consumers[t] {
-                if !queued[c] {
-                    queued[c] = true;
+                if !queued[c as usize] {
+                    queued[c as usize] = true;
                     queue.push_back(c);
                 }
             }
@@ -219,21 +312,21 @@ pub fn schedule(program: &Program, el: &Elaboration) -> Result<Schedule, KnitErr
 
     // --- ordering edges between initializers: preds[f] = inits that must
     // run before f (initializer-level deps only) ---
-    let mut preds: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); n_inits];
-    for (id, (inst, func)) in keys.iter().enumerate() {
-        if let Some(ports) = deps[*inst].func_deps.get(func) {
-            for dport in ports {
-                if let Some(Wire::Export { instance, port }) =
-                    el.instances[*inst].imports.get(dport.as_str())
-                {
-                    if let Some(g) = port_ix(*instance, port.as_str()) {
-                        preds[id].extend(usable[g].iter().copied());
-                    }
+    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n_inits];
+    for (inst, d) in deps.iter().enumerate() {
+        for (f, needs) in d.init_deps.iter().enumerate() {
+            let id = init_off[inst] + f as u32;
+            let set = &mut preds[id as usize];
+            for &k in needs {
+                if let Some(g) = wired(inst, k) {
+                    union_into(set, &usable[g]);
                 }
             }
+            // self-dependency through a chain is a cycle; drop the self edge
+            if let Ok(at) = set.binary_search(&id) {
+                set.remove(at);
+            }
         }
-        // self-dependency through a chain is a cycle; drop the self edge
-        preds[id].remove(&(id as u32));
     }
     // detect chains where f transitively requires itself
     check_cycles(&preds, &keys, el)?;
@@ -260,14 +353,6 @@ pub fn schedule(program: &Program, el: &Elaboration) -> Result<Schedule, KnitErr
     // done). We order by the reverse of the provider relation; where no
     // relation exists, reverse of init order of the owning instances keeps
     // intuitive symmetry.
-    let mut fini_keys: Vec<InitKey> = Vec::new();
-    let mut fini_id: HashMap<(usize, &str), u32> = HashMap::new();
-    for inst in &el.instances {
-        for f in &deps[inst.id].finis {
-            fini_id.insert((inst.id, f.as_str()), fini_keys.len() as u32);
-            fini_keys.push((inst.id, f.clone()));
-        }
-    }
     let n_finis = fini_keys.len();
     // instance -> earliest init position (for the symmetry heuristic)
     let mut init_pos: Vec<Option<usize>> = vec![None; n_insts];
@@ -285,21 +370,20 @@ pub fn schedule(program: &Program, el: &Elaboration) -> Result<Schedule, KnitErr
     for (p, &f) in heuristic.iter().enumerate() {
         fpos[f as usize] = p;
     }
-    // refine with explicit fini deps: f before providers' finis
-    let mut fini_preds: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); n_finis];
-    for (id, (inst, func)) in fini_keys.iter().enumerate() {
-        // providers this fini depends on: their finis must come AFTER key,
-        // i.e. key is a predecessor of those finis.
-        if let Some(ports) = deps[*inst].func_deps.get(func) {
-            for dport in ports {
-                if let Some(Wire::Export { instance, port: _ }) =
-                    el.instances[*inst].imports.get(dport.as_str())
-                {
-                    for pf in &deps[*instance].finis {
-                        let provider = fini_id[&(*instance, pf.as_str())];
-                        if provider != id as u32 {
-                            fini_preds[provider as usize].insert(id as u32);
-                        }
+    // refine with explicit fini deps: f before providers' finis. Ids are
+    // visited in increasing order, so each list stays sorted and a repeat
+    // can only be its last entry.
+    let mut fini_preds: Vec<Vec<u32>> = vec![Vec::new(); n_finis];
+    for (inst, d) in deps.iter().enumerate() {
+        for (f, needs) in d.fini_deps.iter().enumerate() {
+            let id = fini_off[inst] + f as u32;
+            for &k in needs {
+                let Some((provider_inst, _)) = provider(inst, k) else { continue };
+                for &pf in &deps[provider_inst].fini_ids {
+                    let provider = fini_off[provider_inst] + pf;
+                    let list = &mut fini_preds[provider as usize];
+                    if provider != id && list.last() != Some(&id) {
+                        list.push(id);
                     }
                 }
             }
@@ -331,7 +415,7 @@ fn describe_key(k: &InitKey, el: &Elaboration) -> String {
 /// emitted ids, or an [`KnitError::InitCycle`] listing the stuck nodes
 /// (rendered by `cycle_names`) if some never become ready.
 fn kahn_layers(
-    preds: &[BTreeSet<u32>],
+    preds: &[Vec<u32>],
     n: usize,
     rank: impl Fn(u32) -> usize,
     cycle_names: impl Fn(&[u32]) -> Vec<String>,
@@ -362,8 +446,11 @@ fn kahn_layers(
     }
     if order.len() < n {
         // cycle — normally caught by check_cycles first
-        let done: BTreeSet<u32> = order.iter().copied().collect();
-        let stuck: Vec<u32> = (0..n as u32).filter(|u| !done.contains(u)).collect();
+        let mut done = vec![false; n];
+        for &u in &order {
+            done[u as usize] = true;
+        }
+        let stuck: Vec<u32> = (0..n as u32).filter(|&u| !done[u as usize]).collect();
         return Err(KnitError::InitCycle { cycle: cycle_names(&stuck) });
     }
     Ok(order)
@@ -373,11 +460,7 @@ fn kahn_layers(
 /// Nodes and edge targets are visited in `InitKey` order — the order the
 /// original `BTreeMap<InitKey, BTreeSet<InitKey>>` implementation used —
 /// so the same cycle is found and reported first.
-fn check_cycles(
-    preds: &[BTreeSet<u32>],
-    keys: &[InitKey],
-    el: &Elaboration,
-) -> Result<(), KnitError> {
+fn check_cycles(preds: &[Vec<u32>], keys: &[InitKey], el: &Elaboration) -> Result<(), KnitError> {
     #[derive(Clone, Copy, PartialEq)]
     enum Mark {
         White,
@@ -395,7 +478,7 @@ fn check_cycles(
     let preds_by_key: Vec<Vec<u32>> = preds
         .iter()
         .map(|s| {
-            let mut v: Vec<u32> = s.iter().copied().collect();
+            let mut v: Vec<u32> = s.clone();
             v.sort_by_key(|&p| rank[p as usize]);
             v
         })

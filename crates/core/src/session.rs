@@ -30,8 +30,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cobj::object::ObjectFile;
-use cobj::{Image, Layout, LinkInput, LinkOptions};
+use cobj::fnv::FnvMap;
+use cobj::object::{ObjectFile, ObjectRef, Symbol};
+use cobj::{InputRef, Layout, LinkOptions};
 use knit_lang::ast::{
     COp, CTarget, CTerm, Constraint, DepAtom, DepSide, PathRef, UnitBody, UnitDecl,
 };
@@ -40,9 +41,9 @@ use crate::analyze::{self, AnalysisMemo, AnalysisReport, LintConfig};
 use crate::cache::{BuildCache, StableHasher};
 use crate::constraints::{self, ConstraintReport};
 use crate::driver::{
-    atomic_body, boot_object, compile_unit_cached, flatten_opts, group_externals,
-    instance_symbol_map, root_exports_map, run_indexed, BuildOptions, BuildReport, BuildStats,
-    CompiledUnit, UnitCompile,
+    atomic_body, boot_object, compile_unit_cached, flatten_opts, group_externals, root_exports_map,
+    run_indexed, BuildOptions, BuildReport, BuildStats, CompiledUnit, SymbolMap, UnitCompile,
+    UnitLinks,
 };
 use crate::elaborate::{elaborate, Elaboration};
 use crate::error::KnitError;
@@ -123,19 +124,46 @@ struct Counts {
 /// root export map.
 type BootArtifact = (ObjectFile, BTreeMap<String, String>);
 
+/// One `objcopy` output: an object of a compiled unit under one instance's
+/// link-level names. Only the symbol table is the instance's own; text and
+/// data stay in the compiled unit, shared by every instance.
+#[derive(Debug)]
+struct RenamedObject {
+    /// `path:file.o`, for diagnostics.
+    name: String,
+    /// The renamed symbol table.
+    symbols: Vec<Symbol>,
+    /// The compiled unit holding the object's text and data.
+    unit: Arc<CompiledUnit>,
+    /// Which of the unit's objects this is.
+    index: usize,
+}
+
+impl RenamedObject {
+    fn view(&self) -> ObjectRef<'_> {
+        let o = &self.unit.objects[self.index];
+        ObjectRef { name: &self.name, symbols: &self.symbols, funcs: &o.funcs, data: &o.data }
+    }
+}
+
 /// Memoized per-phase artifacts of the previous build. Every entry is
 /// keyed by a fingerprint of that phase's complete input; `run_build`
-/// reuses an entry only when the fingerprint matches exactly.
+/// reuses an entry only when the fingerprint matches exactly. Artifacts
+/// are shared (`Arc`), never copied, between the memo and a running build.
 #[derive(Debug, Default)]
 pub(crate) struct Memo {
     elaborate: Option<(u64, Arc<Elaboration>)>,
     constraints: Option<(u64, Option<ConstraintReport>)>,
     schedule: Option<(u64, Arc<Schedule>)>,
     units: BTreeMap<String, UnitMemo>,
-    objcopy: BTreeMap<usize, (u64, Vec<ObjectFile>)>,
-    flatten: BTreeMap<usize, (u64, ObjectFile)>,
-    boot: Option<(u64, BootArtifact)>,
-    link: Option<(u64, Image)>,
+    /// Per instance id: fingerprint and renamed objects.
+    objcopy: Vec<Option<(u64, Arc<[RenamedObject]>)>>,
+    flatten: BTreeMap<usize, (u64, Arc<ObjectFile>)>,
+    boot: Option<(u64, Arc<BootArtifact>)>,
+    /// Fingerprint of the link that produced `report`'s image. (The image
+    /// itself lives only in the report: nothing after the link can fail,
+    /// so the two always come from the same build.)
+    link: Option<u64>,
     report: Option<BuildReport>,
     opts_fp: Option<u64>,
     counts: Counts,
@@ -291,18 +319,33 @@ fn fp_constraints(program: &Program, el_fp: u64, opts: &BuildOptions) -> u64 {
     h.finish()
 }
 
+/// The declarations of the units `el` instantiates, in name order — one
+/// ordered walk of `program.units` (keyed in the same order as
+/// `el.by_unit`) instead of a tree probe per unit.
+pub(crate) fn instantiated_units<'p>(program: &'p Program, el: &Elaboration) -> Vec<&'p UnitDecl> {
+    let mut all = program.units.iter();
+    el.by_unit
+        .keys()
+        .map(|name| loop {
+            let (k, d) = all.next().expect("elaborated units are registered");
+            if k.as_str() == name.as_str() {
+                break d;
+            }
+        })
+        .collect()
+}
+
 /// Fingerprint of everything the initializer scheduler can observe beyond
-/// the elaboration: each instantiated unit's `depends`, `initializer`, and
-/// `finalizer` declarations.
-fn fp_schedule(program: &Program, el: &Elaboration, el_fp: u64) -> u64 {
+/// the elaboration: each instantiated unit's (`units`, in name order)
+/// `depends`, `initializer`, and `finalizer` declarations.
+fn fp_schedule(units: &[&UnitDecl], el_fp: u64) -> u64 {
     let mut h = StableHasher::new();
     h.write_str("schedule");
     h.write_u64(el_fp);
-    let distinct: BTreeSet<&str> = el.instances.iter().map(|i| i.unit.as_str()).collect();
-    for name in distinct {
-        let body = atomic_body(&program.units[name]);
+    for unit in units {
+        let body = atomic_body(unit);
         h.write_str("u");
-        h.write_str(name);
+        h.write_str(&unit.name);
         for d in &body.depends {
             h.write_str("dep");
             match &d.lhs {
@@ -342,11 +385,11 @@ fn fp_schedule(program: &Program, el: &Elaboration, el_fp: u64) -> u64 {
 /// analyzer's per-unit summaries; lint *pragmas* are deliberately
 /// excluded — they change which diagnostics are reported, not what the
 /// sources mean, and are applied at emit time.)
-pub(crate) fn fp_unit_decl(program: &Program, unit_name: &str, opts: &BuildOptions) -> u64 {
-    let body = atomic_body(&program.units[unit_name]);
+pub(crate) fn fp_unit_decl(program: &Program, unit: &UnitDecl, opts: &BuildOptions) -> u64 {
+    let body = atomic_body(unit);
     let mut h = StableHasher::new();
     h.write_str("unitdecl");
-    h.write_str(unit_name);
+    h.write_str(&unit.name);
     for f in &body.files {
         h.write_str("file");
         h.write_str(f);
@@ -408,9 +451,10 @@ fn fp_options(opts: &BuildOptions) -> u64 {
 
 /// Run the eight-phase pipeline over `memo`, rerunning exactly the phases
 /// whose fingerprints changed (and, for compiles, the units whose ledger
-/// intersects `dirty`). With a fresh [`Memo`] this is precisely the old
-/// monolithic `build_with_cache`; a [`BuildSession`] passes its persistent
-/// memo to make rebuilds incremental.
+/// intersects `dirty`). With a fresh [`Memo`] this is the one-shot
+/// [`build`](crate::driver::build); a [`BuildSession`] passes its
+/// persistent memo to make rebuilds incremental (and keeps a copy of the
+/// returned report for its fully-memoized fast path).
 pub(crate) fn run_build(
     program: &Program,
     tree: &SourceTree,
@@ -482,7 +526,8 @@ pub(crate) fn run_build(
     phase!("constraints");
 
     // --- schedule ---
-    let s_fp = fp_schedule(program, &el, el_fp);
+    let decls = instantiated_units(program, &el);
+    let s_fp = fp_schedule(&decls, el_fp);
     let schedule: Arc<Schedule> = match &memo.schedule {
         Some((fp, s)) if *fp == s_fp => {
             stats.schedule.reuses += 1;
@@ -501,36 +546,40 @@ pub(crate) fn run_build(
     // A memoized unit is reused iff its declaration fingerprint matches
     // and none of the paths it read were edited (the ledger was pruned
     // above); everything else goes through the content-hash cache,
-    // concurrently under `opts.jobs`.
-    let distinct: Vec<String> = {
-        let set: BTreeSet<&str> = el.instances.iter().map(|i| i.unit.as_str()).collect();
-        set.into_iter().map(str::to_string).collect()
-    };
-    let mut decl_fps: BTreeMap<&str, u64> = BTreeMap::new();
-    let mut to_compile: Vec<&str> = Vec::new();
-    for name in &distinct {
-        let decl_fp = fp_unit_decl(program, name, opts);
-        let reusable = matches!(memo.units.get(name.as_str()), Some(m) if m.decl_fp == decl_fp);
-        decl_fps.insert(name, decl_fp);
+    // concurrently under `opts.jobs`. Distinct units get dense indices in
+    // name order; `inst_unit` maps each instance to its unit's index.
+    let distinct: Vec<&str> = decls.iter().map(|d| d.name.as_str()).collect();
+    let mut inst_unit: Vec<usize> = vec![0; el.instances.len()];
+    for (ui, ids) in el.by_unit.values().enumerate() {
+        for &id in ids {
+            inst_unit[id] = ui;
+        }
+    }
+    let mut decl_fps: Vec<u64> = Vec::with_capacity(distinct.len());
+    let mut to_compile: Vec<usize> = Vec::new();
+    for (ui, name) in distinct.iter().enumerate() {
+        let decl_fp = fp_unit_decl(program, decls[ui], opts);
+        let reusable = matches!(memo.units.get(*name), Some(m) if m.decl_fp == decl_fp);
+        decl_fps.push(decl_fp);
         if !reusable {
-            to_compile.push(name);
+            to_compile.push(ui);
         }
     }
     let compile_results = run_indexed(opts.jobs, to_compile.len(), |i| {
         let start = Instant::now();
-        let r = compile_unit_cached(program, tree, to_compile[i], opts, cache);
+        let r = compile_unit_cached(program, tree, decls[to_compile[i]], opts, cache);
         (r, start.elapsed())
     });
-    let mut fresh = BTreeMap::new();
-    for (name, (result, duration)) in to_compile.iter().zip(compile_results) {
-        fresh.insert(*name, (result?, duration));
+    let mut fresh: Vec<Option<_>> = (0..distinct.len()).map(|_| None).collect();
+    for (&ui, (result, duration)) in to_compile.iter().zip(compile_results) {
+        fresh[ui] = Some((result?, duration));
     }
-    let mut compiled: BTreeMap<String, Arc<CompiledUnit>> = BTreeMap::new();
-    let mut unit_keys: BTreeMap<String, u64> = BTreeMap::new();
+    let mut compiled: Vec<Arc<CompiledUnit>> = Vec::with_capacity(distinct.len());
+    let mut unit_keys: Vec<u64> = Vec::with_capacity(distinct.len());
     let mut unit_compiles: Vec<UnitCompile> = Vec::with_capacity(distinct.len());
     let (mut cache_hits, mut cache_misses, mut ledger_reuses) = (0usize, 0usize, 0usize);
-    for name in &distinct {
-        if let Some((ub, duration)) = fresh.remove(name.as_str()) {
+    for (ui, name) in distinct.iter().enumerate() {
+        if let Some((ub, duration)) = fresh[ui].take() {
             if ub.cache_hit {
                 cache_hits += 1;
                 stats.unit_compiles.reuses += 1;
@@ -539,135 +588,159 @@ pub(crate) fn run_build(
                 stats.unit_compiles.runs += 1;
             }
             unit_compiles.push(UnitCompile {
-                unit: name.clone(),
+                unit: name.to_string(),
                 duration,
                 cache_hit: ub.cache_hit,
             });
-            compiled.insert(name.clone(), Arc::clone(&ub.cu));
-            unit_keys.insert(name.clone(), ub.key);
+            compiled.push(Arc::clone(&ub.cu));
+            unit_keys.push(ub.key);
             memo.units.insert(
-                name.clone(),
-                UnitMemo {
-                    decl_fp: decl_fps[name.as_str()],
-                    key: ub.key,
-                    cu: ub.cu,
-                    reads: ub.reads,
-                },
+                name.to_string(),
+                UnitMemo { decl_fp: decl_fps[ui], key: ub.key, cu: ub.cu, reads: ub.reads },
             );
         } else {
-            let m = &memo.units[name.as_str()];
+            let m = &memo.units[*name];
             ledger_reuses += 1;
             stats.unit_compiles.reuses += 1;
             unit_compiles.push(UnitCompile {
-                unit: name.clone(),
+                unit: name.to_string(),
                 duration: Duration::ZERO,
                 cache_hit: true,
             });
-            compiled.insert(name.clone(), Arc::clone(&m.cu));
-            unit_keys.insert(name.clone(), m.key);
+            compiled.push(Arc::clone(&m.cu));
+            unit_keys.push(m.key);
         }
     }
     phase!("compile");
 
     // --- per-instance symbol maps (always recomputed — cheap, and every
     //     later fingerprint hashes them) + objcopy rename/duplicate ---
-    let mut maps: Vec<BTreeMap<String, String>> = Vec::with_capacity(el.instances.len());
+    // The naming facts are computed once per unit (concurrently, like
+    // compiles), then checked in instance order so that the first failing
+    // instance reports the error; an instance's map only adds its own
+    // mangles, spelled on demand. Bundle members come from one hash index
+    // instead of a tree probe per port.
+    let members: FnvMap<&str, &[String]> =
+        program.bundletypes.iter().map(|(k, v)| (k.as_str(), v.as_slice())).collect();
+    let links: Vec<Result<UnitLinks<'_>, KnitError>> =
+        run_indexed(opts.jobs, distinct.len(), |ui| {
+            UnitLinks::new(decls[ui], |bt| members[bt], &compiled[ui])
+        });
     for inst in &el.instances {
-        let map = instance_symbol_map(program, &el, inst.id, compiled[inst.unit.as_str()].as_ref())
-            .map_err(|e| match program.unit_site(&inst.unit) {
-                Some((file, span)) => {
-                    let file = file.to_string();
-                    e.at(&file, span)
+        let at_site = |e: KnitError| match program.unit_site(&inst.unit) {
+            Some((file, span)) => {
+                let file = file.to_string();
+                e.at(&file, span)
+            }
+            None => e,
+        };
+        match &links[inst_unit[inst.id]] {
+            Err(e) => return Err(at_site(e.clone())),
+            Ok(l) => {
+                if let Some(symbol) = l.unbound() {
+                    return Err(at_site(KnitError::UnboundSymbol {
+                        instance: inst.path.clone(),
+                        symbol: symbol.to_string(),
+                    }));
                 }
-                None => e,
-            })?;
-        maps.push(map);
+            }
+        }
     }
+    let links: Vec<UnitLinks<'_>> =
+        links.into_iter().map(|l| l.expect("every unit's instances were checked")).collect();
+    let maps: Vec<SymbolMap<'_>> =
+        el.instances.iter().map(|inst| links[inst_unit[inst.id]].instance(inst)).collect();
     // Only instances with source translation units can be merged; units
     // built from pre-compiled objects stay on the objcopy path even when
     // inside a flatten group.
-    let flattened: BTreeSet<usize> = if opts.flatten {
-        el.flatten_groups
-            .iter()
-            .flatten()
-            .copied()
-            .filter(|&id| !compiled[el.instances[id].unit.as_str()].tus.is_empty())
-            .collect()
-    } else {
-        BTreeSet::new()
-    };
-    let mut linked_objects: Vec<ObjectFile> = Vec::new();
-    let mut objcopy_fps: Vec<(usize, u64)> = Vec::new();
-    for inst in &el.instances {
-        if flattened.contains(&inst.id) {
-            continue;
+    let mut flattened: Vec<bool> = vec![false; el.instances.len()];
+    if opts.flatten {
+        for &id in el.flatten_groups.iter().flatten() {
+            flattened[id] = !compiled[inst_unit[id]].sources.is_empty();
         }
-        let fp = {
-            let mut h = StableHasher::new();
-            h.write_str("objcopy");
-            h.write_u64(unit_keys[inst.unit.as_str()]);
-            h.write_str(&inst.path);
-            for (k, v) in &maps[inst.id] {
-                h.write_str(k);
-                h.write_str(v);
-            }
-            h.finish()
-        };
-        match memo.objcopy.get(&inst.id) {
-            Some((f, objs)) if *f == fp => {
+    }
+    // Fingerprint every objcopy input, rename the misses (both
+    // concurrently), then merge in instance order: link order and the
+    // first reported error never depend on `jobs`.
+    let copied: Vec<usize> = (0..el.instances.len()).filter(|&id| !flattened[id]).collect();
+    let fps: Vec<u64> = run_indexed(opts.jobs, copied.len(), |i| {
+        let inst = &el.instances[copied[i]];
+        let mut h = StableHasher::new();
+        h.write_str("objcopy");
+        h.write_u64(unit_keys[inst_unit[inst.id]]);
+        h.write_str(&inst.path);
+        maps[inst.id].hash_into(&mut h);
+        h.finish()
+    });
+    if memo.objcopy.len() < el.instances.len() {
+        memo.objcopy.resize_with(el.instances.len(), || None);
+    }
+    let reused: Vec<Option<Arc<[RenamedObject]>>> = copied
+        .iter()
+        .zip(&fps)
+        .map(|(&id, fp)| match &memo.objcopy[id] {
+            Some((f, objs)) if f == fp => Some(Arc::clone(objs)),
+            _ => None,
+        })
+        .collect();
+    let misses: Vec<usize> = (0..copied.len()).filter(|&i| reused[i].is_none()).collect();
+    let fresh_objs = run_indexed(opts.jobs, misses.len(), |m| {
+        let inst = &el.instances[copied[misses[m]]];
+        let cu = &compiled[inst_unit[inst.id]];
+        let map = &maps[inst.id];
+        let mut objs: Vec<RenamedObject> = Vec::with_capacity(cu.objects.len());
+        for (oi, obj) in cu.objects.iter().enumerate() {
+            let symbols =
+                cobj::objcopy::rename_table(&obj.name, &obj.symbols, |si, _| map.rename(oi, si))
+                    .map_err(|e| KnitError::BadDeclaration {
+                        unit: inst.unit.to_string(),
+                        what: format!("objcopy: {e}"),
+                    })?;
+            objs.push(RenamedObject {
+                name: format!("{}:{}", inst.path, obj.name),
+                symbols,
+                unit: Arc::clone(cu),
+                index: oi,
+            });
+        }
+        Ok::<Arc<[RenamedObject]>, KnitError>(objs.into())
+    });
+    let mut fresh_objs = fresh_objs.into_iter();
+    let mut renamed: Vec<Arc<[RenamedObject]>> = Vec::with_capacity(copied.len());
+    let mut objcopy_fps: Vec<(usize, u64)> = Vec::with_capacity(copied.len());
+    for ((&id, fp), reuse) in copied.iter().zip(fps).zip(reused) {
+        let objs = match reuse {
+            Some(objs) => {
                 stats.objcopy.reuses += 1;
-                linked_objects.extend(objs.iter().cloned());
+                objs
             }
-            _ => {
+            None => {
                 stats.objcopy.runs += 1;
-                let cu = &compiled[inst.unit.as_str()];
-                let mut objs: Vec<ObjectFile> = Vec::with_capacity(cu.objects.len());
-                for obj in &cu.objects {
-                    let present: BTreeMap<String, String> = maps[inst.id]
-                        .iter()
-                        .filter(|(k, _)| {
-                            obj.symbols.iter().any(|s| {
-                                s.name == **k
-                                    && !matches!(
-                                        s.def,
-                                        cobj::object::SymDef::Defined { local: true, .. }
-                                    )
-                            })
-                        })
-                        .map(|(k, v)| (k.clone(), v.clone()))
-                        .collect();
-                    let mut renamed =
-                        cobj::objcopy::rename_symbols(obj, &present).map_err(|e| {
-                            KnitError::BadDeclaration {
-                                unit: inst.unit.to_string(),
-                                what: format!("objcopy: {e}"),
-                            }
-                        })?;
-                    renamed.name = format!("{}:{}", inst.path, obj.name);
-                    objs.push(renamed);
-                }
-                linked_objects.extend(objs.iter().cloned());
-                memo.objcopy.insert(inst.id, (fp, objs));
+                let objs = fresh_objs.next().expect("one result per miss")?;
+                memo.objcopy[id] = Some((fp, Arc::clone(&objs)));
+                objs
             }
-        }
-        objcopy_fps.push((inst.id, fp));
+        };
+        renamed.push(objs);
+        objcopy_fps.push((id, fp));
     }
     phase!("objcopy");
 
     // --- flatten groups (§6): source-merge + recompile, one job per group ---
     let mut n_groups = 0usize;
     let mut group_fps: Vec<(usize, u64)> = Vec::new();
+    let mut flat_objects: Vec<Arc<ObjectFile>> = Vec::new();
     if opts.flatten {
         let copts = flatten_opts(opts);
-        // Decide reuse per group (gathering inputs — which clones every
+        // Decide reuse per group (gathering inputs — which re-parses every
         // member's translation units — only for the misses), then recompile
         // the missed groups concurrently and splice everything back in
         // group order so link order never depends on cache warmth.
         let mut pending: Vec<(usize, Vec<flatten::FlattenInput>, BTreeSet<String>)> = Vec::new();
-        let mut order: Vec<(usize, u64, Option<ObjectFile>)> = Vec::new();
+        let mut order: Vec<(usize, u64, Option<Arc<ObjectFile>>)> = Vec::new();
         for (gi, group) in el.flatten_groups.iter().enumerate() {
             let group_set: BTreeSet<usize> =
-                group.iter().copied().filter(|id| flattened.contains(id)).collect();
+                group.iter().copied().filter(|&id| flattened[id]).collect();
             if group_set.is_empty() {
                 continue;
             }
@@ -677,11 +750,8 @@ pub(crate) fn run_build(
                 h.write_str("flatten");
                 for &id in &group_set {
                     h.write_u64(id as u64);
-                    h.write_u64(unit_keys[el.instances[id].unit.as_str()]);
-                    for (k, v) in &maps[id] {
-                        h.write_str(k);
-                        h.write_str(v);
-                    }
+                    h.write_u64(unit_keys[inst_unit[id]]);
+                    maps[id].hash_into(&mut h);
                 }
                 for e in &external {
                     h.write_str("ext");
@@ -698,18 +768,16 @@ pub(crate) fn run_build(
             match memo.flatten.get(&gi) {
                 Some((f, obj)) if *f == fp => {
                     stats.flatten.reuses += 1;
-                    order.push((gi, fp, Some(obj.clone())));
+                    order.push((gi, fp, Some(Arc::clone(obj))));
                 }
                 _ => {
                     stats.flatten.runs += 1;
                     let mut inputs = Vec::new();
                     for &id in &group_set {
-                        let inst = &el.instances[id];
-                        let cu = &compiled[inst.unit.as_str()];
                         inputs.push(flatten::FlattenInput {
                             tag: format!("k{id}"),
-                            tus: cu.tus.clone(),
-                            symbol_map: maps[id].clone(),
+                            tus: compiled[inst_unit[id]].parse_sources()?,
+                            symbol_map: maps[id].to_map(),
                         });
                     }
                     order.push((gi, fp, None));
@@ -729,11 +797,12 @@ pub(crate) fn run_build(
                 None => {
                     let mut obj = flat_iter.next().expect("one result per pending group")?;
                     obj.name = format!("flatten-group-{gi}.o");
-                    memo.flatten.insert(gi, (fp, obj.clone()));
+                    let obj = Arc::new(obj);
+                    memo.flatten.insert(gi, (fp, Arc::clone(&obj)));
                     obj
                 }
             };
-            linked_objects.push(obj);
+            flat_objects.push(obj);
         }
     }
     phase!("flatten");
@@ -745,11 +814,11 @@ pub(crate) fn run_build(
         h.write_str("boot");
         for (inst, func) in &schedule.inits {
             h.write_str("init");
-            h.write_str(maps[*inst].get(func).map_or(func.as_str(), String::as_str));
+            h.write_str(&maps[*inst].get(func).unwrap_or_else(|| func.clone()));
         }
         for (inst, func) in &schedule.finis {
             h.write_str("fini");
-            h.write_str(maps[*inst].get(func).map_or(func.as_str(), String::as_str));
+            h.write_str(&maps[*inst].get(func).unwrap_or_else(|| func.clone()));
         }
         for (k, v) in &exports_map {
             h.write_str(k);
@@ -764,22 +833,22 @@ pub(crate) fn run_build(
         }
         h.finish()
     };
-    let (boot, exports) = match &memo.boot {
+    let boot: Arc<BootArtifact> = match &memo.boot {
         Some((fp, v)) if *fp == boot_fp => {
             stats.generate.reuses += 1;
-            v.clone()
+            Arc::clone(v)
         }
         _ => {
             stats.generate.runs += 1;
-            let v = boot_object(program, &el, &schedule, &maps, opts)?;
-            memo.boot = Some((boot_fp, v.clone()));
+            let v = Arc::new(boot_object(program, &el, &schedule, &maps, opts)?);
+            memo.boot = Some((boot_fp, Arc::clone(&v)));
             v
         }
     };
     phase!("generate");
 
     // --- final link ---
-    let n_objects = linked_objects.len() + 1;
+    let n_objects = renamed.iter().map(|objs| objs.len()).sum::<usize>() + flat_objects.len() + 1;
     let link_fp = {
         let mut h = StableHasher::new();
         h.write_str("link");
@@ -809,23 +878,26 @@ pub(crate) fn run_build(
         }
         h.finish()
     };
-    let image = match &memo.link {
-        Some((fp, img)) if *fp == link_fp => {
+    let image = match (&memo.link, &memo.report) {
+        (Some(fp), Some(report)) if *fp == link_fp => {
             stats.link.reuses += 1;
-            img.clone()
+            report.image.clone()
         }
         _ => {
             stats.link.runs += 1;
-            let mut inputs: Vec<LinkInput> = Vec::with_capacity(n_objects);
-            inputs.push(LinkInput::Object(boot));
-            for o in linked_objects {
-                inputs.push(LinkInput::Object(o));
+            // Link order: boot object, per-instance objects in instance
+            // order, then flatten groups in group order.
+            let mut inputs: Vec<InputRef<'_>> = Vec::with_capacity(n_objects);
+            inputs.push(InputRef::Object(boot.0.view()));
+            for objs in &renamed {
+                inputs.extend(objs.iter().map(|o| InputRef::Object(o.view())));
             }
+            inputs.extend(flat_objects.iter().map(|o| InputRef::Object(o.view())));
             let layout = match &opts.profile {
                 Some(p) => Layout::ProfileGuided(p.as_ref().clone()),
                 None => Layout::InputOrder,
             };
-            let image = cobj::link(
+            let image = cobj::link_refs(
                 &inputs,
                 &LinkOptions {
                     entry: Some("__start".to_string()),
@@ -833,7 +905,7 @@ pub(crate) fn run_build(
                     layout,
                 },
             )?;
-            memo.link = Some((link_fp, image.clone()));
+            memo.link = Some(link_fp);
             image
         }
     };
@@ -850,20 +922,18 @@ pub(crate) fn run_build(
         cache_hits,
         cache_misses,
     };
-    let report = BuildReport {
+    memo.counts = Counts { units: distinct.len(), objcopy: objcopy_fps.len(), groups: n_groups };
+    Ok(BuildReport {
         image,
         phases,
         schedule: schedule.describe(&el),
         constraints: constraint_report,
-        exports,
+        exports: boot.1.clone(),
         stats: build_stats,
         unit_compiles,
         jobs: opts.jobs.max(1),
-        elaboration: el.as_ref().clone(),
-    };
-    memo.counts = Counts { units: distinct.len(), objcopy: objcopy_fps.len(), groups: n_groups };
-    memo.report = Some(report.clone());
-    Ok(report)
+        elaboration: el,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -944,8 +1014,7 @@ impl BuildSession {
     }
 
     /// Use `cache` for compiles. [`BuildCache`] clones share storage, so
-    /// sessions (and one-shot `build_with_cache` calls) can warm each
-    /// other through a shared cache.
+    /// sessions can warm each other through a shared cache.
     #[must_use]
     pub fn with_cache(mut self, cache: BuildCache) -> BuildSession {
         self.cache = cache;
@@ -1069,7 +1138,7 @@ impl BuildSession {
                 }
             }
         };
-        let s_fp = fp_schedule(&self.program, &el, el_fp);
+        let s_fp = fp_schedule(&instantiated_units(&self.program, &el), el_fp);
         let schedule: Arc<Schedule> = match &self.memo.schedule {
             Some((fp, s)) if *fp == s_fp => {
                 self.stats.schedule.reuses += 1;
@@ -1148,9 +1217,10 @@ impl BuildSession {
             &dirty,
         );
         match &result {
-            Ok(_) => {
+            Ok(report) => {
                 self.program_dirty = false;
                 self.memo.opts_fp = Some(opts_fp);
+                self.memo.report = Some(report.clone());
             }
             Err(_) => {
                 // Keep the paths dirty: the failed build may have evicted
