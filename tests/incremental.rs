@@ -365,3 +365,117 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// transactional `.unit` redefinition
+// ---------------------------------------------------------------------------
+
+/// A bundle type in a file of its own, and a unit in another file that
+/// renames one of its members. `Renamer` is registered but not part of
+/// `Top`'s build, so only validation ever reads it.
+const EXT_TYPES: &str = "bundletype Ext = { ext_a, ext_b }\n";
+const EXT_USER: &str = r#"
+unit Renamer = {
+    imports [ e : Ext ];
+    exports [ m : Main ];
+    files { "renamer.c" };
+    rename { e.ext_b to my_b; };
+}
+"#;
+
+fn session_with_ext() -> BuildSession {
+    let mut s = session();
+    s.load_units("types.unit", EXT_TYPES).expect("types parse");
+    s.load_units("renamer.unit", EXT_USER).expect("renamer parses");
+    s
+}
+
+/// Every declaration of the program, for before/after comparisons.
+fn program_dump(s: &BuildSession) -> String {
+    format!("{:?}", s.program())
+}
+
+/// The image hash of a cold build of the session's current program.
+fn cold_hash(s: &BuildSession) -> u64 {
+    let report = build(s.program(), s.tree(), s.options()).expect("cold build");
+    knit_repro::knit::proto::image_hash(&report.image)
+}
+
+fn rendered(err: &KnitError) -> Vec<String> {
+    err.diagnostics().iter().map(|d| d.human()).collect()
+}
+
+/// A rejected `update_unit` leaves the program exactly as it was: the
+/// next build gives the same image hash, and the rejection's diagnostics
+/// are pinned. Covers a unit naming an unknown bundle type and a bundle
+/// type redefinition that breaks another file's unit's `rename`.
+#[test]
+fn rejected_update_unit_leaves_the_program_unchanged() {
+    use knit_repro::knit::proto::image_hash;
+    let mut s = session_with_ext();
+    let cold = image_hash(&s.build().expect("cold build").image);
+    let before = program_dump(&s);
+
+    // 1. The unit names a bundle type nobody declared.
+    let unknown = unit_src(false, false).replace("imports [ v : Val ]", "imports [ v : Nope ]");
+    let err = s.update_unit("inc.unit", &unknown).expect_err("unknown bundletype");
+    assert_eq!(
+        rendered(&err),
+        ["error[K0003]: unknown bundletype `Nope` (in unit `App` port `v`)"],
+        "unknown-bundletype diagnostics drifted"
+    );
+    assert_eq!(program_dump(&s), before, "a rejected update must not change the program");
+    assert_eq!(cold_hash(&s), cold);
+    assert_eq!(image_hash(&s.build().expect("still builds").image), cold);
+
+    // 2. Dropping `ext_b` from `Ext` breaks `Renamer`'s rename, declared
+    //    in another file: the whole update is rejected.
+    let err = s.update_unit("types.unit", "bundletype Ext = { ext_a }\n").expect_err("bad rename");
+    assert_eq!(
+        rendered(&err),
+        ["error[K0008]: unit `Renamer`: rename of `e.ext_b` matches no port member"],
+        "broken-rename diagnostics drifted"
+    );
+    assert_eq!(program_dump(&s), before, "a rejected update must not change the program");
+    assert_eq!(cold_hash(&s), cold);
+    assert_eq!(image_hash(&s.build().expect("still builds").image), cold);
+
+    // 3. A file that redefines a good declaration before a bad one is
+    //    rejected as a whole: the good half does not land either.
+    let mixed = format!("bundletype Ext = {{ ext_a, ext_b, ext_c }}\n{}", unknown);
+    s.update_unit("inc.unit", &mixed).expect_err("second declaration is bad");
+    assert_eq!(program_dump(&s), before, "a rejected update must not change the program");
+    assert_eq!(cold_hash(&s), cold);
+    assert_eq!(image_hash(&s.build().expect("still builds").image), cold);
+}
+
+/// An accepted bundle type change re-validates the units that use it:
+/// widening `Ext` is accepted, a unit registered afterwards may rename
+/// the new member, and narrowing `Ext` again is then rejected because of
+/// that later unit.
+#[test]
+fn accepted_bundletype_change_revalidates_its_users() {
+    let mut s = session_with_ext();
+    s.build().expect("cold build");
+    s.update_unit("types.unit", "bundletype Ext = { ext_a, ext_b, ext_c }\n")
+        .expect("widening keeps every rename valid");
+    assert_eq!(
+        s.program().members_of("Ext").expect("declared"),
+        ["ext_a", "ext_b", "ext_c"].map(String::from)
+    );
+    s.load_units(
+        "late.unit",
+        r#"unit Late = { imports [ e : Ext ]; exports [ m : Main ]; files { "late.c" }; rename { e.ext_c to my_c; }; }"#,
+    )
+    .expect("renames the new member");
+    let err = s
+        .update_unit("types.unit", "bundletype Ext = { ext_a, ext_b }\n")
+        .expect_err("`Late` renames ext_c");
+    assert_eq!(
+        rendered(&err),
+        ["error[K0008]: unit `Late`: rename of `e.ext_c` matches no port member"],
+    );
+    assert_eq!(s.program().members_of("Ext").expect("declared").len(), 3);
+    // The session still builds after the rejection.
+    s.build().expect("builds");
+}
