@@ -28,7 +28,7 @@ fn main() {
         println!("flat image: {} funcs", img.funcs.len());
         let entry =
             report.exports.iter().find(|(k, _)| k.ends_with(".router_step")).unwrap().1.clone();
-        for f in &img.funcs {
+        for f in img.funcs.iter() {
             if f.name == entry {
                 let calls =
                     f.body.iter().filter(|i| matches!(i, cobj::RInstr::Call { .. })).count();

@@ -6,12 +6,16 @@
 //!     [--edits N] [--smoke] [--json <path>]
 //! ```
 //!
-//! Reports edit-phase rebuild throughput (all clients together), p50/p99
-//! rebuild round-trip latency, and the cross-client compile-dedupe rate of
-//! the followers' cold builds against the shared cache. Exits nonzero if
-//! any gate fails: wire images must be byte-identical to a direct
-//! in-process build, and with ≥2 clients the dedupe rate must be positive.
-//! `--smoke` is the small CI configuration.
+//! Reports edit-phase rebuild throughput (all clients together) and p50/p99
+//! rebuild round-trip latency as the median and spread of repeated
+//! samples, the cross-client compile-dedupe rate of the followers' cold
+//! builds against the shared cache, and the sessions' per-edit work.
+//! Exits nonzero if any gate fails: wire images must be byte-identical to
+//! a direct in-process build, with ≥2 clients the dedupe rate must be
+//! positive, and every edit must do exactly one compile, one link table,
+//! one objcopy fingerprint per re-renamed instance and one link that
+//! reuses the previous symbol resolution. `--smoke` is the small CI
+//! configuration.
 
 use std::process::ExitCode;
 
@@ -67,37 +71,39 @@ fn main() -> ExitCode {
 
     let report = table_serve(&args.opts);
 
+    let (tmin, tmax) = report.throughput_builds_per_sec.spread();
     println!(
-        "  {:>7} | {:>5} | {:>11} | {:>9} {:>9} | {:>9} | gates",
-        "clients", "units", "rebuilds/s", "p50 us", "p99 us", "dedupe"
+        "  {:>7} | {:>5} | {:>21} | {:>9} {:>9} | {:>9} | gates",
+        "clients", "units", "rebuilds/s (min-max)", "p50 us", "p99 us", "dedupe"
     );
     println!(
-        "  {:>7} | {:>5} | {:>11.1} | {:>9} {:>9} | {:>8.0}% | {}",
+        "  {:>7} | {:>5} | {:>8.1} ({:>5.0}-{:<5.0}) | {:>9.0} {:>9.0} | {:>8.0}% | {}",
         report.options.clients,
         report.units,
-        report.throughput_builds_per_sec,
-        report.p50_rebuild_us,
-        report.p99_rebuild_us,
+        report.throughput_builds_per_sec.median(),
+        tmin,
+        tmax,
+        report.p50_rebuild_us.median(),
+        report.p99_rebuild_us.median(),
         report.dedupe_rate * 100.0,
         if report.byte_identical { "byte-identical" } else { "IMAGE DIVERGED" },
     );
+    let w = &report.work;
+    println!(
+        "\n  per-edit work ({} edits, medians of {} samples above): {} compiles, {} link tables, \
+         {} objcopy fingerprints for {} re-renamed instances, {} links ({} resolutions reused)",
+        w.edits,
+        report.options.samples,
+        w.unit_compiles,
+        w.unit_links,
+        w.objcopy_fingerprints,
+        w.objcopy,
+        w.links,
+        w.resolution_reuses,
+    );
 
     if let Some(path) = &args.json {
-        let out = format!(
-            "{{\n  \"version\": 1,\n  \"clients\": {},\n  \"edits_per_client\": {},\n  \"units\": {},\n  \"edit_builds\": {},\n  \"throughput_builds_per_sec\": {:.2},\n  \"p50_rebuild_us\": {},\n  \"p99_rebuild_us\": {},\n  \"dedupe_hits\": {},\n  \"dedupe_misses\": {},\n  \"dedupe_rate\": {:.4},\n  \"byte_identical\": {}\n}}\n",
-            report.options.clients,
-            report.options.edits,
-            report.units,
-            report.edit_builds,
-            report.throughput_builds_per_sec,
-            report.p50_rebuild_us,
-            report.p99_rebuild_us,
-            report.dedupe_hits,
-            report.dedupe_misses,
-            report.dedupe_rate,
-            report.byte_identical,
-        );
-        if let Err(e) = std::fs::write(path, out) {
+        if let Err(e) = std::fs::write(path, report.json()) {
             eprintln!("table_serve: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }

@@ -4,10 +4,19 @@ use crate::ast::*;
 use crate::error::CError;
 use crate::token::{lex, Span, Tok, Token};
 
+/// How deeply statements, initializers and expressions may nest: every
+/// nested statement, initializer brace, (sub-)expression, conditional
+/// arm, prefix operator and binary operator of one chain counts one
+/// level. Parsing, and every pass over the tree after it, recurses about
+/// once per level, so the bound keeps hostile input from overflowing the
+/// stack: the deepest accepted source parses and compiles on a 2 MiB
+/// thread. Deeper input is a parse error.
+pub const MAX_NESTING: usize = 128;
+
 /// Parse a (preprocessed) mini-C source string into a translation unit.
 pub fn parse(file: &str, src: &str) -> Result<TranslationUnit, CError> {
     let tokens = lex(file, src)?;
-    let mut p = Parser { file: file.to_string(), toks: tokens, pos: 0 };
+    let mut p = Parser { file: file.to_string(), toks: tokens, pos: 0, depth: 0 };
     p.translation_unit()
 }
 
@@ -15,9 +24,26 @@ struct Parser {
     file: String,
     toks: Vec<Token>,
     pos: usize,
+    /// Current nesting level (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
+    /// Run `f` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        levels: usize,
+        f: impl FnOnce(&mut Self) -> Result<T, CError>,
+    ) -> Result<T, CError> {
+        if self.depth + levels > MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += levels;
+        let r = f(self);
+        self.depth -= levels;
+        r
+    }
+
     fn peek(&self) -> &Tok {
         &self.toks[self.pos].tok
     }
@@ -342,6 +368,10 @@ impl Parser {
     }
 
     fn initializer(&mut self) -> Result<Init, CError> {
+        self.nested(1, Self::initializer_inner)
+    }
+
+    fn initializer_inner(&mut self) -> Result<Init, CError> {
         if self.eat(Tok::LBrace) {
             let mut list = Vec::new();
             if !self.eat(Tok::RBrace) {
@@ -375,6 +405,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, CError> {
+        self.nested(1, Self::stmt_inner)
+    }
+
+    fn stmt_inner(&mut self) -> Result<Stmt, CError> {
         let span = self.span();
         match self.peek().clone() {
             Tok::LBrace => Ok(Stmt::Block(self.block()?)),
@@ -474,6 +508,10 @@ impl Parser {
     }
 
     fn assignment_expr(&mut self) -> Result<Expr, CError> {
+        self.nested(1, Self::assignment_expr_inner)
+    }
+
+    fn assignment_expr_inner(&mut self) -> Result<Expr, CError> {
         let span = self.span();
         let lhs = self.ternary_expr()?;
         let op = match self.peek() {
@@ -496,6 +534,10 @@ impl Parser {
     }
 
     fn ternary_expr(&mut self) -> Result<Expr, CError> {
+        self.nested(1, Self::ternary_expr_inner)
+    }
+
+    fn ternary_expr_inner(&mut self) -> Result<Expr, CError> {
         let span = self.span();
         let cond = self.binary_expr(0)?;
         if self.eat(Tok::Question) {
@@ -514,6 +556,9 @@ impl Parser {
     /// Precedence-climbing binary expression parser.
     fn binary_expr(&mut self, min_prec: u8) -> Result<Expr, CError> {
         let mut lhs = self.unary_expr()?;
+        // A chain builds a left-deep tree without recursing here, but
+        // every later pass recurses once per operator: count them.
+        let mut chain = 0;
         loop {
             let (op, prec) = match self.peek() {
                 Tok::PipePipe => (BinOp::LogOr, 1),
@@ -541,13 +586,18 @@ impl Parser {
             }
             let span = self.span();
             self.bump();
-            let rhs = self.binary_expr(prec + 1)?;
+            chain += 1;
+            let rhs = self.nested(chain, |p| p.binary_expr(prec + 1))?;
             lhs = Expr::new(ExprKind::Bin { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }, span);
         }
         Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, CError> {
+        self.nested(1, Self::unary_expr_inner)
+    }
+
+    fn unary_expr_inner(&mut self) -> Result<Expr, CError> {
         let span = self.span();
         match self.peek().clone() {
             Tok::Bang => {

@@ -8,6 +8,7 @@
 //! of the paper's Table 1) emerge from layout, exactly as on hardware.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::ir::{BinOp, Reg, UnOp, Width};
 
@@ -104,13 +105,18 @@ pub struct ImageFunc {
 /// layout and code — two images are `==` exactly when they are
 /// byte-identical, which the parallel/cached build pipeline's determinism
 /// tests rely on.
+///
+/// The function table, the address index and the symbol map are shared
+/// (`Arc`), and so is each function: cloning or dropping an image touches
+/// only its data segment, and a relink that leaves a function unchanged
+/// shares it with the previous image ([`crate::LinkMemo`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Image {
     /// All functions, laid out in link order starting at [`TEXT_BASE`].
-    pub funcs: Vec<ImageFunc>,
+    pub funcs: Arc<[Arc<ImageFunc>]>,
     /// Map from function entry address to function index (for indirect
     /// calls through function pointers).
-    pub addr_to_func: BTreeMap<u64, u32>,
+    pub addr_to_func: Arc<BTreeMap<u64, u32>>,
     /// The data segment contents (initialized + zeroed), based at
     /// [`Image::data_base`].
     pub data: Vec<u8>,
@@ -119,7 +125,7 @@ pub struct Image {
     /// First address past the data segment; the machine's heap starts here.
     pub heap_base: u64,
     /// Link-visible symbols by (post-rename) name.
-    pub symbols: BTreeMap<String, SymbolLoc>,
+    pub symbols: Arc<BTreeMap<String, SymbolLoc>>,
     /// Runtime intrinsic names, in id order. `CallTarget::Intrinsic(i)`
     /// refers to `intrinsics[i]`.
     pub intrinsics: Vec<String>,
@@ -196,12 +202,12 @@ mod tests {
     #[test]
     fn intrinsic_addresses_round_trip() {
         let img = Image {
-            funcs: vec![],
-            addr_to_func: BTreeMap::new(),
+            funcs: Arc::new([]),
+            addr_to_func: Arc::default(),
             data: vec![],
             data_base: 0x20000,
             heap_base: 0x30000,
-            symbols: BTreeMap::new(),
+            symbols: Arc::default(),
             intrinsics: vec!["__con_putc".into(), "__halt".into()],
             text_size: 0,
             entry: None,

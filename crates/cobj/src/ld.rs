@@ -20,6 +20,7 @@
 //! by the runtime (the `machine` crate's intrinsics) rather than by objects.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use crate::archive::Archive;
 use crate::error::LinkError;
@@ -96,8 +97,137 @@ pub fn link(inputs: &[LinkInput], opts: &LinkOptions) -> Result<Image, LinkError
 /// owning (or copying) any object. Both give the same image and the same
 /// errors for the same inputs.
 pub fn link_refs(inputs: &[InputRef<'_>], opts: &LinkOptions) -> Result<Image, LinkError> {
-    let selection = select_objects(inputs, opts)?;
-    layout(&selection, opts)
+    link_memo(inputs, None, opts)
+}
+
+/// Fingerprints of one object input, which let a [`LinkMemo`] tell what
+/// changed since its previous link. Equal fingerprints must mean equal
+/// contents.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InputKey {
+    /// Fingerprint of the symbol table: every entry's name and definition,
+    /// in order.
+    pub symbols: u64,
+    /// Fingerprint of the whole object: symbol table, text and data.
+    pub content: u64,
+}
+
+/// What a link keeps for the next link of mostly the same objects.
+///
+/// [`LinkMemo::link`] gives exactly the image and errors of [`link_refs`].
+/// When every input's symbol-table fingerprint and the runtime symbols
+/// match the previous link, it reuses phase 1 (selection and resolution)
+/// and validates only the objects whose content changed. Then it shares
+/// with the previous image every function whose object, resolved symbols
+/// and address are unchanged, and the symbol map and address index when
+/// nothing they hold moved.
+#[derive(Debug, Default)]
+pub struct LinkMemo {
+    last: Option<Linked>,
+    reused_resolution: bool,
+}
+
+impl LinkMemo {
+    /// Link `inputs`, fingerprinted by `keys` (one per input). Archives
+    /// are never reused: a link with one runs in full and keeps nothing.
+    pub fn link(
+        &mut self,
+        inputs: &[InputRef<'_>],
+        keys: &[InputKey],
+        opts: &LinkOptions,
+    ) -> Result<Image, LinkError> {
+        assert_eq!(inputs.len(), keys.len(), "one key per input");
+        link_memo(inputs, Some((keys, self)), opts)
+    }
+
+    /// Whether the last [`LinkMemo::link`] reused the previous resolution.
+    pub fn reused_resolution(&self) -> bool {
+        self.reused_resolution
+    }
+}
+
+/// The previous keyed link. Everything is indexed like its inputs.
+#[derive(Debug)]
+struct Linked {
+    keys: Vec<InputKey>,
+    runtime: BTreeSet<String>,
+    res: Resolution,
+    tables: Tables,
+    image: Image,
+}
+
+/// Per-function and per-symbol tables of one link, kept for the next.
+#[derive(Debug)]
+struct Tables {
+    /// First input-order function index of each object.
+    func_base: Vec<usize>,
+    /// Encoded size of every function, in input order.
+    sizes: Vec<u64>,
+    /// Image function index of every function, in input order.
+    slot_of: Vec<u32>,
+    /// Resolution of every symbol-table entry, by flat index.
+    resolved: Vec<Resolved>,
+}
+
+fn link_memo(
+    inputs: &[InputRef<'_>],
+    memo: Option<(&[InputKey], &mut LinkMemo)>,
+    opts: &LinkOptions,
+) -> Result<Image, LinkError> {
+    let Some((keys, memo)) = memo else {
+        let (included, res) = select_objects(inputs, opts, &[])?;
+        return Ok(layout(&included, &res, opts, None)?.0);
+    };
+    let last = memo.last.take();
+    let objects: Option<Vec<ObjectRef<'_>>> = inputs
+        .iter()
+        .map(|i| match *i {
+            InputRef::Object(o) => Some(o),
+            InputRef::Archive(_) => None,
+        })
+        .collect();
+    let Some(objects) = objects else {
+        memo.reused_resolution = false;
+        let (included, res) = select_objects(inputs, opts, &[])?;
+        return Ok(layout(&included, &res, opts, None)?.0);
+    };
+    // The previous link is comparable object by object when it had as
+    // many inputs; its resolution holds when no symbol table changed.
+    let last = last.filter(|l| l.keys.len() == keys.len());
+    let reuse = last.as_ref().is_some_and(|l| {
+        l.keys.iter().zip(keys).all(|(a, b)| a.symbols == b.symbols)
+            && l.runtime == opts.runtime_symbols
+    });
+    // Validity is a property of an object's content: only an object whose
+    // content changed can newly fail validation.
+    let validated: Vec<bool> = match &last {
+        Some(l) => l.keys.iter().zip(keys).map(|(a, b)| a.content == b.content).collect(),
+        None => Vec::new(),
+    };
+    let mut fresh: Option<Resolution> = None;
+    let res = match &last {
+        Some(l) if reuse => {
+            for (o, _) in objects.iter().zip(&validated).filter(|(_, &v)| !v) {
+                o.validate()?;
+            }
+            &l.res
+        }
+        _ => fresh.insert(select_objects(inputs, opts, &validated)?.1),
+    };
+    memo.reused_resolution = reuse;
+    let (image, tables) = layout(&objects, res, opts, last.as_ref().map(|l| (keys, l, reuse)))?;
+    let res = match fresh {
+        Some(res) => res,
+        None => last.expect("resolution reused").res,
+    };
+    memo.last = Some(Linked {
+        keys: keys.to_vec(),
+        runtime: opts.runtime_symbols.clone(),
+        res,
+        tables,
+        image: image.clone(),
+    });
+    Ok(image)
 }
 
 /// What an undefined symbol-table entry resolves to.
@@ -109,22 +239,21 @@ enum Import {
     Intrinsic(u32),
 }
 
-/// The outcome of phase 1. Symbols are numbered densely across the
-/// included objects: object `oi`'s entry `s` is flat index
-/// `sym_base[oi] + s`.
-struct Selection<'a> {
-    /// The participating objects, in input order.
-    included: Vec<ObjectRef<'a>>,
+/// The outcome of phase 1, apart from the participating objects. Symbols
+/// are numbered densely across the included objects: object `oi`'s entry
+/// `s` is flat index `sym_base[oi] + s`.
+#[derive(Debug)]
+struct Resolution {
     /// First flat symbol index of each included object.
     sym_base: Vec<usize>,
     /// Number of symbol-table entries across the included objects.
     n_syms: usize,
-    /// Every global definition: name → flat symbol index.
-    defined: FnvMap<&'a str, usize>,
     /// Every undefined entry's resolution: (flat index, target).
     imports: Vec<(usize, Import)>,
     /// Runtime intrinsic names, in id order.
     intrinsics: Vec<String>,
+    /// Flat index of every global definition, in name order.
+    defs: Vec<usize>,
 }
 
 /// Phase-1 state: the objects included so far and their definitions.
@@ -141,8 +270,10 @@ struct Selector<'a, 'r> {
 }
 
 impl<'a> Selector<'a, '_> {
-    fn include(&mut self, obj: ObjectRef<'a>) -> Result<(), LinkError> {
-        obj.validate()?;
+    fn include(&mut self, obj: ObjectRef<'a>, validate: bool) -> Result<(), LinkError> {
+        if validate {
+            obj.validate()?;
+        }
         for (si, s) in obj.symbols.iter().enumerate() {
             if s.is_global_def() {
                 if let Some(&first) = self.defined.get(s.name.as_str()) {
@@ -192,11 +323,13 @@ impl<'a> Selector<'a, '_> {
 }
 
 /// Phase 1: decide which objects participate, applying archive semantics,
-/// and resolve every undefined reference.
+/// and resolve every undefined reference. `validated[i]` marks input `i`
+/// as an object validated before (missing entries are validated).
 fn select_objects<'a>(
     inputs: &[InputRef<'a>],
     opts: &LinkOptions,
-) -> Result<Selection<'a>, LinkError> {
+    validated: &[bool],
+) -> Result<(Vec<ObjectRef<'a>>, Resolution), LinkError> {
     let n_symbols: usize = inputs
         .iter()
         .map(|i| match i {
@@ -215,16 +348,16 @@ fn select_objects<'a>(
         runtime: &runtime,
         pending: None,
     };
-    for input in inputs {
+    for (i, input) in inputs.iter().enumerate() {
         match *input {
-            InputRef::Object(o) => sel.include(o)?,
+            InputRef::Object(o) => sel.include(o, !validated.get(i).copied().unwrap_or(false))?,
             InputRef::Archive(a) => {
                 let mut pulled_members = vec![false; a.members.len()];
                 loop {
                     let mut pulled = false;
                     for (mi, m) in a.members.iter().enumerate() {
                         if !pulled_members[mi] && sel.wants(m) {
-                            sel.include(m.view())?;
+                            sel.include(m.view(), true)?;
                             pulled_members[mi] = true;
                             pulled = true;
                         }
@@ -272,62 +405,92 @@ fn select_objects<'a>(
             referenced_from: refs,
         });
     }
-    Ok(Selection { included, sym_base, n_syms, defined, imports, intrinsics })
+    let mut defs: Vec<(&str, usize)> = defined.into_iter().collect();
+    defs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    let defs = defs.into_iter().map(|(_, d)| d).collect();
+    Ok((included, Resolution { sym_base, n_syms, imports, intrinsics, defs }))
 }
 
 /// Resolution of one symbol-table entry of one included object.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Resolved {
+    /// Not resolved (yet): an entry with no body.
+    None,
     Func(u32),
     Data(u64),
     Intrinsic(u32),
 }
 
+/// This link's keys, the previous link (with as many inputs, so objects
+/// compare position by position), and whether phase 1 was reused from it.
+type Prev<'p> = (&'p [InputKey], &'p Linked, bool);
+
 /// Phase 2: lay out text and data, apply relocations, resolve operands.
 ///
 /// Every table here is dense — per-symbol and per-data-item vectors
 /// indexed by flat index — and names are hashed only once, in phase 1.
-fn layout(sel: &Selection<'_>, opts: &LinkOptions) -> Result<Image, LinkError> {
-    let included = &sel.included;
-    let sym_base = &sel.sym_base;
-    // Object `oi`'s data item `d` is `data_base_ix[oi] + d`.
+fn layout(
+    included: &[ObjectRef<'_>],
+    res: &Resolution,
+    opts: &LinkOptions,
+    prev: Option<Prev<'_>>,
+) -> Result<(Image, Tables), LinkError> {
+    let sym_base = &res.sym_base;
+    // An object is unchanged when its content fingerprint matches the
+    // previous link's at the same position.
+    let unchanged: Vec<bool> = match prev {
+        Some((keys, l, _)) => {
+            keys.iter().zip(&l.keys).map(|(k, w)| k.content == w.content).collect()
+        }
+        None => vec![false; included.len()],
+    };
+    // Object `oi`'s data item `d` is `data_base_ix[oi] + d`, its function
+    // `f` is `func_base[oi] + f` in input order.
     let mut data_base_ix: Vec<usize> = Vec::with_capacity(included.len());
+    let mut func_base: Vec<usize> = Vec::with_capacity(included.len());
     let (mut n_data, mut n_funcs) = (0usize, 0usize);
     for obj in included {
         data_base_ix.push(n_data);
+        func_base.push(n_funcs);
         n_data += obj.data.len();
         n_funcs += obj.funcs.len();
     }
 
     // --- assign text addresses ---
-    struct FuncSlot<'a> {
-        obj: usize,
-        def: &'a FuncDef,
-        addr: u64,
-    }
     // Gather candidates in input order, then let the layout strategy pick
     // the placement order. `InputOrder` returns the identity permutation,
     // reproducing the historical images byte-for-byte.
+    let mut sizes: Vec<u64> = Vec::with_capacity(n_funcs);
+    for (oi, obj) in included.iter().enumerate() {
+        match prev {
+            Some((_, l, _)) if unchanged[oi] => {
+                let b = l.tables.func_base[oi];
+                sizes.extend_from_slice(&l.tables.sizes[b..b + obj.funcs.len()]);
+            }
+            _ => sizes.extend(obj.funcs.iter().map(FuncDef::size_bytes)),
+        }
+    }
     let mut raw: Vec<(usize, &FuncDef)> = Vec::with_capacity(n_funcs);
     let mut metas: Vec<FuncMeta<'_>> = Vec::with_capacity(n_funcs);
     for (oi, obj) in included.iter().enumerate() {
         for f in obj.funcs {
+            metas.push(FuncMeta { name: &obj.symbol(f.sym).name, size: sizes[raw.len()] });
             raw.push((oi, f));
-            metas.push(FuncMeta { name: &obj.symbol(f.sym).name, size: f.size_bytes() });
         }
     }
     let order = opts.layout.order(&metas);
     debug_assert_eq!(order.len(), raw.len());
-    let mut slots: Vec<FuncSlot<'_>> = Vec::with_capacity(raw.len());
+    let mut addrs: Vec<u64> = Vec::with_capacity(raw.len());
+    let mut slot_of: Vec<u32> = vec![0; raw.len()];
     let mut cursor = TEXT_BASE;
-    for &ri in &order {
-        let (oi, f) = raw[ri];
+    for (fi, &ri) in order.iter().enumerate() {
         cursor = align_up(cursor, FUNC_ALIGN);
-        slots.push(FuncSlot { obj: oi, def: f, addr: cursor });
-        cursor += metas[ri].size;
+        addrs.push(cursor);
+        slot_of[ri] = fi as u32;
+        cursor += sizes[ri];
     }
     let text_end = cursor;
-    let text_size: u64 = metas.iter().map(|m| m.size).sum();
+    let text_size: u64 = sizes.iter().sum();
 
     // --- assign data addresses ---
     let data_base = align_up(text_end, 0x1000);
@@ -343,44 +506,69 @@ fn layout(sel: &Selection<'_>, opts: &LinkOptions) -> Result<Image, LinkError> {
     let heap_base = align_up(data_cursor.max(data_base + 1), 0x1000);
 
     // --- resolve every symbol-table entry (locals included) ---
-    let mut resolved: Vec<Option<Resolved>> = vec![None; sel.n_syms];
-    for (fi, slot) in slots.iter().enumerate() {
-        resolved[sym_base[slot.obj] + slot.def.sym.0 as usize] = Some(Resolved::Func(fi as u32));
+    let mut resolved: Vec<Resolved> = vec![Resolved::None; res.n_syms];
+    for (ri, &(oi, f)) in raw.iter().enumerate() {
+        resolved[sym_base[oi] + f.sym.0 as usize] = Resolved::Func(slot_of[ri]);
     }
     for (oi, obj) in included.iter().enumerate() {
         for (di, d) in obj.data.iter().enumerate() {
             let addr = data_addrs[data_base_ix[oi] + di];
-            resolved[sym_base[oi] + d.sym.0 as usize] = Some(Resolved::Data(addr));
+            resolved[sym_base[oi] + d.sym.0 as usize] = Resolved::Data(addr);
         }
     }
-    for &(at, import) in &sel.imports {
+    for &(at, import) in &res.imports {
         resolved[at] = match import {
             Import::Def(d) => resolved[d],
-            Import::Intrinsic(id) => Some(Resolved::Intrinsic(id)),
+            Import::Intrinsic(id) => Resolved::Intrinsic(id),
         };
     }
-
-    // --- build image functions with resolved bodies ---
-    let resolve_addr_value = |r: Resolved, slots: &[FuncSlot<'_>]| -> u64 {
+    let addr_of = |r: Resolved| -> u64 {
         match r {
-            Resolved::Func(fi) => slots[fi as usize].addr,
+            Resolved::Func(fi) => addrs[fi as usize],
             Resolved::Data(a) => a,
             Resolved::Intrinsic(id) => Image::intrinsic_addr(id),
+            Resolved::None => unreachable!("validated objects resolve every symbol"),
         }
     };
 
-    let mut funcs: Vec<ImageFunc> = Vec::with_capacity(slots.len());
-    for slot in &slots {
-        let obj = &included[slot.obj];
-        let name = obj.symbol(slot.def.sym).name.clone();
-        let table = &resolved[sym_base[slot.obj]..sym_base[slot.obj] + obj.symbols.len()];
-        let resolve =
-            |sym: SymId| table[sym.0 as usize].expect("validated objects resolve every symbol");
-        let mut body = Vec::with_capacity(slot.def.body.len());
-        let mut instr_addrs = Vec::with_capacity(slot.def.body.len());
-        let mut instr_sizes = Vec::with_capacity(slot.def.body.len());
-        let mut pc = slot.addr;
-        for instr in &slot.def.body {
+    // --- build image functions with resolved bodies ---
+    // A resolved body reads its own address and its symbols' resolutions
+    // (function addresses included, through `Addr`). When no function
+    // moved, an unchanged object whose symbols resolve as before keeps
+    // every function of the previous image.
+    let same_addrs = |img: &Image| {
+        img.funcs.len() == addrs.len() && img.funcs.iter().zip(&addrs).all(|(f, &a)| f.addr == a)
+    };
+    let keep: Vec<bool> = match prev {
+        Some((_, l, _)) if same_addrs(&l.image) => (0..included.len())
+            .map(|oi| {
+                let n = included[oi].symbols.len();
+                let (now, was) = (sym_base[oi], l.res.sym_base[oi]);
+                unchanged[oi] && resolved[now..now + n] == l.tables.resolved[was..was + n]
+            })
+            .collect(),
+        _ => vec![false; included.len()],
+    };
+    let mut funcs: Vec<Arc<ImageFunc>> = Vec::with_capacity(raw.len());
+    for (fi, &ri) in order.iter().enumerate() {
+        let (oi, def) = raw[ri];
+        if keep[oi] {
+            if let Some((_, l, _)) = prev {
+                let t = &l.tables;
+                let was = t.slot_of[t.func_base[oi] + (ri - func_base[oi])];
+                funcs.push(Arc::clone(&l.image.funcs[was as usize]));
+                continue;
+            }
+        }
+        let obj = &included[oi];
+        let table = &resolved[sym_base[oi]..sym_base[oi] + obj.symbols.len()];
+        let resolve = |sym: SymId| table[sym.0 as usize];
+        let addr = addrs[fi];
+        let mut body = Vec::with_capacity(def.body.len());
+        let mut instr_addrs = Vec::with_capacity(def.body.len());
+        let mut instr_sizes = Vec::with_capacity(def.body.len());
+        let mut pc = addr;
+        for instr in &def.body {
             let size = instr.size_bytes();
             instr_addrs.push(pc);
             instr_sizes.push(size as u16);
@@ -397,7 +585,7 @@ fn layout(sel: &Selection<'_>, opts: &LinkOptions) -> Result<Image, LinkError> {
                     RInstr::Store { addr: *addr, offset: *offset, src: *src, width: *width }
                 }
                 Instr::Addr { dst, sym, offset } => {
-                    let base = resolve_addr_value(resolve(*sym), &slots);
+                    let base = addr_of(resolve(*sym));
                     RInstr::Const { dst: *dst, value: base.wrapping_add_signed(*offset) as i64 }
                 }
                 Instr::FrameAddr { dst, offset } => {
@@ -414,6 +602,7 @@ fn layout(sel: &Selection<'_>, opts: &LinkOptions) -> Result<Image, LinkError> {
                                 from: obj.name.to_string(),
                             })
                         }
+                        Resolved::None => unreachable!("validated objects resolve every symbol"),
                     };
                     RInstr::Call { dst: *dst, target: tgt, args: args.clone() }
                 }
@@ -429,17 +618,17 @@ fn layout(sel: &Selection<'_>, opts: &LinkOptions) -> Result<Image, LinkError> {
             };
             body.push(r);
         }
-        funcs.push(ImageFunc {
-            name,
-            addr: slot.addr,
-            size: pc - slot.addr,
-            params: slot.def.params,
-            nregs: slot.def.nregs,
-            frame_size: slot.def.frame_size,
+        funcs.push(Arc::new(ImageFunc {
+            name: obj.symbol(def.sym).name.clone(),
+            addr,
+            size: pc - addr,
+            params: def.params,
+            nregs: def.nregs,
+            frame_size: def.frame_size,
             body,
             instr_addrs,
             instr_sizes,
-        });
+        }));
     }
 
     // --- build and relocate the data segment ---
@@ -450,9 +639,8 @@ fn layout(sel: &Selection<'_>, opts: &LinkOptions) -> Result<Image, LinkError> {
             let off = (addr - data_base) as usize;
             data[off..off + d.init.len()].copy_from_slice(&d.init);
             for reloc in &d.relocs {
-                let target = resolved[sym_base[oi] + reloc.sym.0 as usize]
-                    .expect("validated objects resolve every symbol");
-                let value = resolve_addr_value(target, &slots).wrapping_add_signed(reloc.addend);
+                let target = resolved[sym_base[oi] + reloc.sym.0 as usize];
+                let value = addr_of(target).wrapping_add_signed(reloc.addend);
                 let at = off + reloc.offset as usize;
                 data[at..at + 8].copy_from_slice(&value.to_le_bytes());
             }
@@ -460,35 +648,53 @@ fn layout(sel: &Selection<'_>, opts: &LinkOptions) -> Result<Image, LinkError> {
     }
 
     // --- symbol map and entry ---
-    let def_loc = |d: usize| match resolved[d].expect("definitions have bodies") {
+    let name_of = |d: usize| {
+        let oi = sym_base.partition_point(|&b| b <= d) - 1;
+        included[oi].symbols[d - sym_base[oi]].name.as_str()
+    };
+    let def_loc = |d: usize| match resolved[d] {
         Resolved::Func(fi) => SymbolLoc::Func(fi),
         Resolved::Data(a) => SymbolLoc::Data(a),
-        Resolved::Intrinsic(_) => unreachable!("definitions are never intrinsics"),
+        Resolved::Intrinsic(_) | Resolved::None => unreachable!("definitions have bodies"),
     };
     let entry = match &opts.entry {
-        Some(name) => match sel.defined.get(name.as_str()).map(|&d| def_loc(d)) {
-            Some(SymbolLoc::Func(fi)) => Some(fi),
-            _ => return Err(LinkError::NoEntry { name: name.clone() }),
-        },
+        Some(name) => {
+            match res.defs.binary_search_by(|&d| name_of(d).cmp(name)).map(|i| def_loc(res.defs[i]))
+            {
+                Ok(SymbolLoc::Func(fi)) => Some(fi),
+                _ => return Err(LinkError::NoEntry { name: name.clone() }),
+            }
+        }
         None => None,
     };
-    let symbols: BTreeMap<String, SymbolLoc> =
-        sel.defined.iter().map(|(name, &d)| (name.to_string(), def_loc(d))).collect();
-
-    let addr_to_func =
-        funcs.iter().enumerate().map(|(i, f)| (f.addr, i as u32)).collect::<BTreeMap<_, _>>();
-
-    Ok(Image {
-        funcs,
+    let (symbols, addr_to_func) = match prev {
+        // Same resolution, same placement: the same map and index.
+        Some((_, l, true)) if resolved == l.tables.resolved && same_addrs(&l.image) => {
+            (Arc::clone(&l.image.symbols), Arc::clone(&l.image.addr_to_func))
+        }
+        _ => {
+            let mut names: Vec<&str> = Vec::with_capacity(res.n_syms);
+            for obj in included {
+                names.extend(obj.symbols.iter().map(|s| s.name.as_str()));
+            }
+            let symbols: BTreeMap<String, SymbolLoc> =
+                res.defs.iter().map(|&d| (names[d].to_string(), def_loc(d))).collect();
+            let addr_to_func = addrs.iter().enumerate().map(|(i, &a)| (a, i as u32)).collect();
+            (Arc::new(symbols), Arc::new(addr_to_func))
+        }
+    };
+    let image = Image {
+        funcs: funcs.into(),
         addr_to_func,
         data,
         data_base,
         heap_base,
         symbols,
-        intrinsics: sel.intrinsics.clone(),
+        intrinsics: res.intrinsics.clone(),
         text_size,
         entry,
-    })
+    };
+    Ok((image, Tables { func_base, sizes, slot_of, resolved }))
 }
 
 #[cfg(test)]
@@ -681,7 +887,7 @@ mod tests {
         let b = func_obj("b.o", "g", 2, &[]);
         let img =
             link(&[LinkInput::Object(a), LinkInput::Object(b)], &LinkOptions::default()).unwrap();
-        for f in &img.funcs {
+        for f in img.funcs.iter() {
             assert_eq!(f.addr % FUNC_ALIGN, 0);
             assert_eq!(f.size, f.instr_sizes.iter().map(|&s| s as u64).sum::<u64>());
             // instruction addresses are contiguous
@@ -814,5 +1020,87 @@ mod tests {
         assert_ne!(ha, hb);
         assert!(matches!(img.funcs[ha].body[0], RInstr::Const { value: 10, .. }));
         assert!(matches!(img.funcs[hb].body[0], RInstr::Const { value: 20, .. }));
+    }
+
+    /// Keys for a memoized link, from each object's debug rendering.
+    fn keys_of(objs: &[ObjectFile]) -> Vec<InputKey> {
+        let h = |s: String| {
+            s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x1b3))
+        };
+        objs.iter()
+            .map(|o| InputKey {
+                symbols: h(format!("{:?}", o.symbols)),
+                content: h(format!("{o:?}")),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn memoized_links_match_fresh_links_and_share_what_is_unchanged() {
+        // main calls helper and takes g's address; data points at helper.
+        let main = |ret: i64| {
+            let mut o = func_obj("main.o", "main", ret, &["helper"]);
+            let g = o.add_symbol(Symbol::undef("g"));
+            o.funcs[0].body.insert(0, Instr::Addr { dst: 0, sym: g, offset: 0 });
+            o
+        };
+        let helper = |ret: i64| func_obj("help.o", "helper", ret, &[]);
+        let g = |extra: usize| {
+            let mut o = func_obj("g.o", "g", 3, &[]);
+            for _ in 0..extra {
+                o.funcs[0].body.insert(0, Instr::Nop);
+            }
+            let h = o.add_symbol(Symbol::undef("helper"));
+            let t = o.add_symbol(Symbol::data("table"));
+            o.data.push(DataDef {
+                sym: t,
+                init: vec![0; 8],
+                zeroed: 0,
+                relocs: vec![DataReloc { offset: 0, sym: h, addend: 0 }],
+                align: 8,
+            });
+            o
+        };
+        let opts = LinkOptions::new("main", ["__halt".to_string()]);
+        let mut memo = LinkMemo::default();
+        let steps: Vec<(Vec<ObjectFile>, bool)> = vec![
+            (vec![main(1), g(0), helper(2)], false),
+            // same-size body edit: resolution reused
+            (vec![main(7), g(0), helper(2)], true),
+            // g grows: helper moves, so main's Addr of g stays but the
+            // table's pointer to helper and every later address move
+            (vec![main(7), g(3), helper(2)], true),
+            // a new undefined reference: the symbol table changed
+            (vec![func_obj("main.o", "main", 1, &["helper", "__halt"]), g(3), helper(2)], false),
+            (vec![func_obj("main.o", "main", 1, &["helper", "__halt"]), g(3), helper(5)], true),
+        ];
+        let mut last: Option<Image> = None;
+        for (i, (objs, reused)) in steps.iter().enumerate() {
+            let inputs: Vec<InputRef<'_>> =
+                objs.iter().map(|o| InputRef::Object(o.view())).collect();
+            let fresh = link_refs(&inputs, &opts).unwrap();
+            let memoized = memo.link(&inputs, &keys_of(objs), &opts).unwrap();
+            assert_eq!(memoized, fresh, "step {i}: memoized link differs");
+            assert_eq!(memo.reused_resolution(), *reused, "step {i}: resolution reuse");
+            if let (1, Some(prev)) = (i, &last) {
+                // helper and g did not change or move: shared, not rebuilt
+                assert!(Arc::ptr_eq(&memoized.funcs[2], &prev.funcs[2]));
+                assert!(Arc::ptr_eq(&memoized.symbols, &prev.symbols));
+                assert!(!Arc::ptr_eq(&memoized.funcs[0], &prev.funcs[0]));
+            }
+            last = Some(memoized);
+        }
+        // An archive input links in full and keeps nothing.
+        let lib = Archive::from_members("lib.a", vec![helper(2)]);
+        let objs = [main(1), g(0)];
+        let inputs = [
+            InputRef::Object(objs[0].view()),
+            InputRef::Object(objs[1].view()),
+            InputRef::Archive(&lib),
+        ];
+        let mut keys = keys_of(&objs);
+        keys.push(InputKey { symbols: 0, content: 0 });
+        assert_eq!(memo.link(&inputs, &keys, &opts).unwrap(), link_refs(&inputs, &opts).unwrap());
+        assert!(!memo.reused_resolution());
     }
 }

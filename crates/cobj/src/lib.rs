@@ -39,5 +39,5 @@ pub use error::{LinkError, ObjectError};
 pub use image::{CallTarget, Image, ImageFunc, RInstr, SymbolLoc};
 pub use ir::{BinOp, Instr, SymId, UnOp, Width};
 pub use layout::{Layout, LayoutProfile};
-pub use ld::{link, link_refs, InputRef, LinkInput, LinkOptions};
+pub use ld::{link, link_refs, InputKey, InputRef, LinkInput, LinkMemo, LinkOptions};
 pub use object::{DataDef, DataReloc, FuncDef, ObjectFile, ObjectRef, SymDef, SymKind, Symbol};

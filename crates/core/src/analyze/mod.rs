@@ -507,24 +507,29 @@ fn run_lints(
     for (inst, port) in el.root_exports.values() {
         used.insert((*inst, port.as_str()));
     }
-    for inst in &el.instances {
-        let unit = &program.units[inst.unit.as_str()];
-        let file = program.unit_site(&inst.unit).map(|(f, _)| f);
+    // Both graph lints walk the instances unit by unit: one declaration
+    // lookup per unit, and per-unit facts computed once for all of its
+    // instances.
+    for (unit_name, ids) in &el.by_unit {
+        let unit = &program.units[unit_name.as_str()];
+        let file = program.unit_site(unit_name).map(|(f, _)| f);
         for p in &unit.exports {
-            if !used.contains(&(inst.id, p.name.as_str())) {
-                emit(
-                    &mut diags,
-                    config,
-                    "K1003",
-                    unit,
-                    span_in(file, p.span),
-                    format!(
-                        "instance `{}`: export `{}` is never imported by any instance \
-                         and is not a root export",
-                        inst.path, p.name
-                    ),
-                    vec!["remove the instance or wire something to the export".to_string()],
-                );
+            for inst in ids.iter().map(|&id| &el.instances[id]) {
+                if !used.contains(&(inst.id, p.name.as_str())) {
+                    emit(
+                        &mut diags,
+                        config,
+                        "K1003",
+                        unit,
+                        span_in(file, p.span),
+                        format!(
+                            "instance `{}`: export `{}` is never imported by any instance \
+                             and is not a root export",
+                            inst.path, p.name
+                        ),
+                        vec!["remove the instance or wire something to the export".to_string()],
+                    );
+                }
             }
         }
     }
@@ -532,24 +537,35 @@ fn run_lints(
     // --- K1004 init-order-use: initializer call graph vs schedule ---
     let pos: BTreeMap<(usize, &str), usize> =
         schedule.inits.iter().enumerate().map(|(i, (id, f))| ((*id, f.as_str()), i)).collect();
-    for inst in &el.instances {
-        let unit = &program.units[inst.unit.as_str()];
+    for (unit_name, ids) in &el.by_unit {
+        let unit = &program.units[unit_name.as_str()];
         let body = atomic_body(unit);
-        let file = program.unit_site(&inst.unit).map(|(f, _)| f);
-        let Some(summary) = summaries.get(inst.unit.as_str()) else { continue };
+        let file = program.unit_site(unit_name).map(|(f, _)| f);
+        let Some(summary) = summaries.get(unit_name.as_str()) else { continue };
         for init in &body.initializers {
-            let Some(&my_pos) = pos.get(&(inst.id, init.func.as_str())) else { continue };
+            // The imported members this initializer's calls reach: a fact
+            // of the unit, the same for every instance.
             let reach = reachable_calls(&summary.uses.calls, &init.func);
-            for p in &unit.imports {
-                let Some(Wire::Export { instance: prov, port }) = inst.imports.get(p.name.as_str())
-                else {
-                    continue;
-                };
-                for m in program.members_of(&p.bundle_type).unwrap_or_default() {
-                    let cid = c_id(body, &p.name, m);
-                    if !reach.contains(cid) {
+            let reached: Vec<(&knit_lang::ast::Port, &String, &str)> = unit
+                .imports
+                .iter()
+                .flat_map(|p| {
+                    let members = program.members_of(&p.bundle_type).unwrap_or_default();
+                    members.iter().map(move |m| (p, m, c_id(body, &p.name, m)))
+                })
+                .filter(|(_, _, cid)| reach.contains(*cid))
+                .collect();
+            if reached.is_empty() {
+                continue;
+            }
+            for inst in ids.iter().map(|&id| &el.instances[id]) {
+                let Some(&my_pos) = pos.get(&(inst.id, init.func.as_str())) else { continue };
+                for &(p, m, cid) in &reached {
+                    let Some(Wire::Export { instance: prov, port }) =
+                        inst.imports.get(p.name.as_str())
+                    else {
                         continue;
-                    }
+                    };
                     let prov_inst = &el.instances[*prov];
                     let prov_body = atomic_body(&program.units[prov_inst.unit.as_str()]);
                     for pi in prov_body.initializers.iter().filter(|pi| &pi.bundle == port) {

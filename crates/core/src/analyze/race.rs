@@ -792,13 +792,10 @@ pub(super) fn run_race_lints(
     diags: &mut Vec<Diagnostic>,
 ) {
     // --- K1008 lock-leak: purely per-unit, fires in any composition ---
-    let distinct: BTreeSet<&str> = el.instances.iter().map(|i| i.unit.as_str()).collect();
-    for unit_name in &distinct {
-        let Some(summary) = summaries.get(unit_name) else { continue };
+    // `summaries` holds exactly the instantiated units, in name order.
+    for (unit_name, summary) in summaries {
         let unit = &program.units[*unit_name];
-        let file = program.unit_site(unit_name).map(|(f, _)| f);
         let span = program.unit_site(unit_name).map(|(f, s)| (f.to_string(), s.line, s.col));
-        let _ = file;
         for (func, lock) in local_leaks(&summary.race) {
             emit(
                 diags,

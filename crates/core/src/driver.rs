@@ -546,14 +546,18 @@ pub(crate) fn c_id<'a>(body: &'a AtomicBody, port: &str, member: &'a str) -> &'a
         .map_or(member, |r| r.to.as_str())
 }
 
+/// A string of a [`UnitLinks`]: a byte range of its `text`.
+#[derive(Debug, Clone, Copy)]
+struct Str(u32, u32);
+
 /// What one C identifier of a unit becomes at link level.
 #[derive(Debug, Clone, Copy)]
-enum LinkName<'a> {
+enum LinkName {
     /// Member `member` of export port `port`: the instance's own mangle.
-    Export { port: &'a str, member: &'a str },
+    Export { port: Str, member: Str },
     /// Member `member` of import port `port`: the provider's mangle, or the
     /// raw member name when the port is wired to the external world.
-    Import { port: &'a str, member: &'a str },
+    Import { port: Str, member: Str },
     /// Any other global the unit defines: an instance-private mangle.
     Private,
 }
@@ -562,31 +566,41 @@ enum LinkName<'a> {
 /// instances: which C identifiers an instance renames and what each
 /// becomes, and which symbol-table entries of each object a rename
 /// touches. Only the mangled targets differ between instances
-/// ([`UnitLinks::instance`]).
+/// ([`UnitLinks::instance`]). The tables own their strings (one buffer per
+/// unit), so a session keeps them from build to build.
 #[derive(Debug)]
-pub(crate) struct UnitLinks<'a> {
+pub(crate) struct UnitLinks {
+    /// Every string the tables name, back to back.
+    text: String,
     /// The renamed C identifiers, sorted, with what each becomes.
-    names: Vec<(&'a str, LinkName<'a>)>,
+    names: Vec<(Str, LinkName)>,
     /// Per object of the unit, per symbol-table entry: the position in
     /// `names` of its C identifier, for link-visible entries that have one.
     renames: Vec<Vec<Option<u32>>>,
     /// The first undefined reference (in name order) that neither an import
     /// nor a definition covers — an error for every instance.
-    unbound: Option<&'a str>,
+    unbound: Option<Str>,
 }
 
-impl<'a> UnitLinks<'a> {
+impl UnitLinks {
     /// Compute the tables of the unit declared as `unit`, whose bundle
     /// types' members `members` looks up. Errors reproduce Knit's checks:
     /// missing export definitions, import/export C-identifier conflicts
     /// (→ rename), and undefined initializers/finalizers; an unbound
     /// reference is kept for [`UnitLinks::unbound`], since its diagnostic
     /// names the instance.
-    pub(crate) fn new(
+    pub(crate) fn new<'a>(
         unit: &'a UnitDecl,
         members: impl Fn(&str) -> &'a [String],
         cu: &'a CompiledUnit,
-    ) -> Result<UnitLinks<'a>, KnitError> {
+    ) -> Result<UnitLinks, KnitError> {
+        /// A [`LinkName`] over borrowed strings, before they are copied.
+        #[derive(Clone, Copy)]
+        enum Name<'a> {
+            Export(&'a str, &'a str),
+            Import(&'a str, &'a str),
+            Private,
+        }
         let body = atomic_body(unit);
         // All link-visible names defined across the objects, and every
         // undefined reference — sorted, deduplicated name lists.
@@ -605,7 +619,7 @@ impl<'a> UnitLinks<'a> {
 
         // Port members first (a handful per unit: linear scans beat any
         // index), then the private globals, then one sort.
-        let mut names: Vec<(&'a str, LinkName<'a>)> = Vec::new();
+        let mut names: Vec<(&'a str, Name<'a>)> = Vec::new();
         let needs_rename =
             |cid: &str| KnitError::NeedsRename { unit: unit.name.clone(), c_name: cid.to_string() };
         for p in &unit.exports {
@@ -623,7 +637,7 @@ impl<'a> UnitLinks<'a> {
                         ),
                     });
                 }
-                names.push((cid, LinkName::Export { port: &p.name, member }));
+                names.push((cid, Name::Export(&p.name, member)));
             }
         }
         for p in &unit.imports {
@@ -632,7 +646,7 @@ impl<'a> UnitLinks<'a> {
                 if names.iter().any(|(n, _)| *n == cid) {
                     return Err(needs_rename(cid));
                 }
-                names.push((cid, LinkName::Import { port: &p.name, member }));
+                names.push((cid, Name::Import(&p.name, member)));
             }
         }
         let n_ports = names.len();
@@ -654,7 +668,7 @@ impl<'a> UnitLinks<'a> {
         let unbound = names_where(|s| s.def == cobj::SymDef::Undefined)
             .into_iter()
             .find(|n| !is_defined(n) && !is_port(n) && !n.starts_with("__"));
-        names.extend(privates.into_iter().map(|n| (n, LinkName::Private)));
+        names.extend(privates.into_iter().map(|n| (n, Name::Private)));
         names.sort_unstable_by_key(|&(cid, _)| cid);
         let renames = cu
             .objects
@@ -670,18 +684,47 @@ impl<'a> UnitLinks<'a> {
                     .collect()
             })
             .collect();
-        Ok(UnitLinks { names, renames, unbound })
+
+        // Copy every string into the one buffer.
+        let mut text = String::new();
+        let mut push = |s: &str| {
+            let start = text.len() as u32;
+            text.push_str(s);
+            Str(start, text.len() as u32)
+        };
+        let names = names
+            .into_iter()
+            .map(|(cid, name)| {
+                let cid = push(cid);
+                let name = match name {
+                    Name::Export(port, member) => {
+                        LinkName::Export { port: push(port), member: push(member) }
+                    }
+                    Name::Import(port, member) => {
+                        LinkName::Import { port: push(port), member: push(member) }
+                    }
+                    Name::Private => LinkName::Private,
+                };
+                (cid, name)
+            })
+            .collect();
+        let unbound = unbound.map(push);
+        Ok(UnitLinks { text, names, renames, unbound })
+    }
+
+    fn str(&self, s: Str) -> &str {
+        &self.text[s.0 as usize..s.1 as usize]
     }
 
     /// The first undefined reference that neither an import nor a
     /// definition covers: every instance of the unit is an
     /// [`KnitError::UnboundSymbol`] naming it.
-    pub(crate) fn unbound(&self) -> Option<&'a str> {
-        self.unbound
+    pub(crate) fn unbound(&self) -> Option<&str> {
+        self.unbound.map(|s| self.str(s))
     }
 
     /// The link-level symbol map of instance `inst` of this unit.
-    pub(crate) fn instance(&'a self, inst: &'a ElabInstance) -> SymbolMap<'a> {
+    pub(crate) fn instance<'a>(&'a self, inst: &'a ElabInstance) -> SymbolMap<'a> {
         SymbolMap { links: self, inst }
     }
 }
@@ -694,7 +737,7 @@ impl<'a> UnitLinks<'a> {
 /// one allocates nothing.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SymbolMap<'a> {
-    links: &'a UnitLinks<'a>,
+    links: &'a UnitLinks,
     inst: &'a ElabInstance,
 }
 
@@ -707,20 +750,21 @@ impl<'a> SymbolMap<'a> {
 
     /// Append the link-level name at position `pos` to `out`.
     fn push_target(&self, pos: usize, out: &mut String) {
-        let (cid, name) = self.links.names[pos];
+        let l = self.links;
+        let (cid, name) = l.names[pos];
         match name {
             LinkName::Export { port, member } => {
-                push_mangle_export(out, self.inst.id, port, member)
+                push_mangle_export(out, self.inst.id, l.str(port), l.str(member))
             }
             LinkName::Import { port, member } => {
-                match self.inst.imports.get(port).expect("elaboration wired every import") {
+                match self.inst.imports.get(l.str(port)).expect("elaboration wired every import") {
                     Wire::Export { instance, port } => {
-                        push_mangle_export(out, *instance, port, member)
+                        push_mangle_export(out, *instance, port, l.str(member))
                     }
-                    Wire::External { .. } => out.push_str(member),
+                    Wire::External { .. } => out.push_str(l.str(member)),
                 }
             }
-            LinkName::Private => push_mangle_private(out, self.inst.id, cid),
+            LinkName::Private => push_mangle_private(out, self.inst.id, l.str(cid)),
         }
     }
 
@@ -733,14 +777,15 @@ impl<'a> SymbolMap<'a> {
 
     /// The link-level name C identifier `cid` is renamed to, if any.
     pub(crate) fn get(&self, cid: &str) -> Option<String> {
-        let pos = self.links.names.binary_search_by(|(n, _)| (*n).cmp(cid)).ok()?;
+        let l = self.links;
+        let pos = l.names.binary_search_by(|(n, _)| l.str(*n).cmp(cid)).ok()?;
         Some(self.target(pos))
     }
 
     /// Every `(C identifier, link-level name)` pair, in C-identifier order.
     pub(crate) fn to_map(self) -> BTreeMap<String, String> {
         let names = self.links.names.iter().enumerate();
-        names.map(|(pos, (cid, _))| (cid.to_string(), self.target(pos))).collect()
+        names.map(|(pos, (cid, _))| (self.links.str(*cid).to_string(), self.target(pos))).collect()
     }
 
     /// Hash every `(C identifier, link-level name)` pair in C-identifier
@@ -748,7 +793,7 @@ impl<'a> SymbolMap<'a> {
     pub(crate) fn hash_into(&self, h: &mut StableHasher) {
         let mut buf = String::new();
         for (pos, (cid, _)) in self.links.names.iter().enumerate() {
-            h.write_str(cid);
+            h.write_str(self.links.str(*cid));
             buf.clear();
             self.push_target(pos, &mut buf);
             h.write_str(&buf);

@@ -98,6 +98,23 @@ impl Poset {
     }
 }
 
+/// What a [`Program::redefine`] replaced, to put back if it fails: for
+/// each touched name, in order, its previous value (`None`: it was new).
+#[derive(Default)]
+struct Undo {
+    bundletypes: Vec<(String, Option<Vec<String>>)>,
+    flags: Vec<(String, Option<Vec<String>>)>,
+    properties: Vec<(String, Option<Poset>)>,
+    /// `(value, property)` pairs a property redefinition dropped.
+    values_removed: Vec<(String, String)>,
+    /// Values the file declared.
+    values_added: Vec<String>,
+    units: Vec<(String, Option<UnitEntry>)>,
+}
+
+/// Everything the program keeps for one unit: declaration, site, symbols.
+type UnitEntry = (UnitDecl, (String, Span), UnitSyms);
+
 /// All declarations visible to one build.
 #[derive(Debug, Clone, Default)]
 pub struct Program {
@@ -248,7 +265,7 @@ impl Program {
     /// Register a parsed file's declarations. Names that already exist are
     /// duplicate errors.
     pub fn register(&mut self, kf: KnitFile) -> Result<(), KnitError> {
-        self.register_impl(kf, false)
+        self.register_impl(kf, None)
     }
 
     /// Re-register a parsed file's declarations, replacing same-named
@@ -256,20 +273,109 @@ impl Program {
     /// `property` replaces the property and all its values). Removing a
     /// declaration is not supported — start a fresh [`Program`] for that.
     ///
-    /// The change is transactional: every unit in the program is
-    /// re-validated against the updated declarations, and on any error the
-    /// program is left unchanged.
+    /// The change is transactional: the redefined units, and every unit
+    /// whose ports or flags name a bundle type or flag set the file
+    /// changed, are validated against the updated declarations, and on any
+    /// error the program is left unchanged. No other unit can fail, since
+    /// validation reads nothing else, so the first error is the one
+    /// validating every unit in name order would give. The program is
+    /// updated in place, with an undo log of what the file replaced.
     pub fn redefine(&mut self, kf: KnitFile) -> Result<(), KnitError> {
-        let mut next = self.clone();
-        next.register_impl(kf, true)?;
-        for u in next.units.values() {
-            next.validate_unit(u)?;
+        let mut undo = Undo::default();
+        let result = match self.register_impl(kf, Some(&mut undo)) {
+            Ok(()) => self.revalidate(&undo),
+            Err(e) => Err(e),
+        };
+        if result.is_err() {
+            self.restore(undo);
         }
-        *self = next;
+        result
+    }
+
+    /// Validate, in name order, the units `undo`'s redefinition can break.
+    fn revalidate(&self, undo: &Undo) -> Result<(), KnitError> {
+        fn changed<'u>(
+            log: &'u [(String, Option<Vec<String>>)],
+            now: &BTreeMap<String, Vec<String>>,
+        ) -> BTreeSet<&'u str> {
+            log.iter()
+                .filter(|(name, old)| old.as_ref() != now.get(name))
+                .map(|(name, _)| name.as_str())
+                .collect()
+        }
+        let types = changed(&undo.bundletypes, &self.bundletypes);
+        let flags = changed(&undo.flags, &self.flags);
+        let redefined: BTreeSet<&str> = undo.units.iter().map(|(n, _)| n.as_str()).collect();
+        let uses = |u: &UnitDecl| {
+            let flag = match &u.body {
+                knit_lang::ast::UnitBody::Atomic(a) => a.flags.as_deref(),
+                knit_lang::ast::UnitBody::Compound(_) => None,
+            };
+            u.imports.iter().chain(&u.exports).any(|p| types.contains(p.bundle_type.as_str()))
+                || flag.is_some_and(|f| flags.contains(f))
+        };
+        if types.is_empty() && flags.is_empty() {
+            for name in redefined {
+                self.validate_unit(&self.units[name])?;
+            }
+        } else {
+            for (name, u) in &self.units {
+                if redefined.contains(name.as_str()) || uses(u) {
+                    self.validate_unit(u)?;
+                }
+            }
+        }
         Ok(())
     }
 
-    fn register_impl(&mut self, kf: KnitFile, replace: bool) -> Result<(), KnitError> {
+    /// Put back everything `undo` recorded, newest first.
+    fn restore(&mut self, undo: Undo) {
+        for (name, old) in undo.units.into_iter().rev() {
+            match old {
+                Some((unit, site, syms)) => {
+                    self.unit_sites.insert(name.clone(), site);
+                    self.syms.insert(name.clone(), syms);
+                    self.units.insert(name, unit);
+                }
+                None => {
+                    self.unit_sites.remove(&name);
+                    self.syms.remove(&name);
+                    self.units.remove(&name);
+                }
+            }
+        }
+        for value in undo.values_added {
+            self.value_property.remove(&value);
+        }
+        self.value_property.extend(undo.values_removed);
+        for (name, old) in undo.properties.into_iter().rev() {
+            match old {
+                Some(poset) => self.properties.insert(name, poset),
+                None => self.properties.remove(&name),
+            };
+        }
+        for (name, old) in undo.flags.into_iter().rev() {
+            match old {
+                Some(flags) => self.flags.insert(name, flags),
+                None => self.flags.remove(&name),
+            };
+        }
+        for (name, old) in undo.bundletypes.into_iter().rev() {
+            match old {
+                Some(members) => self.bundletypes.insert(name, members),
+                None => self.bundletypes.remove(&name),
+            };
+        }
+    }
+
+    /// Register `kf`'s declarations; with an undo log, replacing existing
+    /// ones and recording what each replaced.
+    fn register_impl(
+        &mut self,
+        kf: KnitFile,
+        mut undo: Option<&mut Undo>,
+    ) -> Result<(), KnitError> {
+        let replace = undo.is_some();
         let file = kf.file.clone();
         let mut current_property: Option<String> = None;
         for d in kf.decls {
@@ -287,24 +393,43 @@ impl Program {
                             });
                         }
                     }
-                    self.bundletypes.insert(b.name, b.members);
+                    let old = self.bundletypes.insert(b.name.clone(), b.members);
+                    if let Some(u) = undo.as_deref_mut() {
+                        u.bundletypes.push((b.name, old));
+                    }
                 }
                 Decl::Flags(f) => {
                     if !replace && self.flags.contains_key(&f.name) {
                         return Err(KnitError::Duplicate { kind: "flags", name: f.name });
                     }
-                    self.flags.insert(f.name, f.flags);
+                    let old = self.flags.insert(f.name.clone(), f.flags);
+                    if let Some(u) = undo.as_deref_mut() {
+                        u.flags.push((f.name, old));
+                    }
                 }
                 Decl::Property(p) => {
-                    if self.properties.contains_key(&p.name) {
-                        if !replace {
-                            return Err(KnitError::Duplicate { kind: "property", name: p.name });
-                        }
-                        // redefinition replaces the property wholesale
-                        self.properties.remove(&p.name);
-                        self.value_property.retain(|_, prop| prop != &p.name);
+                    if self.properties.contains_key(&p.name) && !replace {
+                        return Err(KnitError::Duplicate { kind: "property", name: p.name });
                     }
-                    self.properties.insert(p.name.clone(), Poset::default());
+                    // redefinition replaces the property wholesale
+                    let old = self.properties.insert(p.name.clone(), Poset::default());
+                    if old.is_some() {
+                        let gone: Vec<String> = self
+                            .value_property
+                            .iter()
+                            .filter(|(_, prop)| **prop == p.name)
+                            .map(|(value, _)| value.clone())
+                            .collect();
+                        for value in gone {
+                            let prop = self.value_property.remove(&value);
+                            if let (Some(u), Some(prop)) = (undo.as_deref_mut(), prop) {
+                                u.values_removed.push((value, prop));
+                            }
+                        }
+                    }
+                    if let Some(u) = undo.as_deref_mut() {
+                        u.properties.push((p.name.clone(), old));
+                    }
                     current_property = Some(p.name);
                 }
                 Decl::PropValue(v) => {
@@ -320,6 +445,9 @@ impl Program {
                         .get_mut(&prop)
                         .expect("current property registered")
                         .add_value(&v.name, &v.below)?;
+                    if let Some(u) = undo.as_deref_mut() {
+                        u.values_added.push(v.name.clone());
+                    }
                     self.value_property.insert(v.name, prop);
                 }
                 Decl::Unit(u) => {
@@ -327,9 +455,17 @@ impl Program {
                         return Err(KnitError::Duplicate { kind: "unit", name: u.name });
                     }
                     self.validate_unit(&u)?;
-                    self.unit_sites.insert(u.name.clone(), (file.clone(), u.span));
-                    self.syms.insert(u.name.clone(), UnitSyms::build(&u, &file));
-                    self.units.insert(u.name.clone(), *u);
+                    let name = u.name.clone();
+                    let site = self.unit_sites.insert(name.clone(), (file.clone(), u.span));
+                    let syms = self.syms.insert(name.clone(), UnitSyms::build(&u, &file));
+                    let old = self.units.insert(name.clone(), *u);
+                    if let Some(undo) = undo.as_deref_mut() {
+                        let old = match (old, site, syms) {
+                            (Some(unit), Some(site), Some(syms)) => Some((unit, site, syms)),
+                            _ => None,
+                        };
+                        undo.units.push((name, old));
+                    }
                 }
             }
         }

@@ -25,6 +25,7 @@
 //! [`SessionHandle`]: crate::session::SessionHandle
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use cobj::image::{CallTarget, RInstr, SymbolLoc};
@@ -239,6 +240,15 @@ impl BuildOutcome {
     /// session's dependency-ledger union
     /// ([`SessionHandle::watched_paths`](crate::session::SessionHandle::watched_paths)).
     pub fn from_report(report: &BuildReport, watched: Vec<String>) -> BuildOutcome {
+        BuildOutcome::with_hash(report, watched, image_hash(&report.image))
+    }
+
+    /// [`BuildOutcome::from_report`] for an image already hashed.
+    pub(crate) fn with_hash(
+        report: &BuildReport,
+        watched: Vec<String>,
+        image_hash: u64,
+    ) -> BuildOutcome {
         let micros = |d: &Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
         BuildOutcome {
             root: report.elaboration.root.clone(),
@@ -251,7 +261,7 @@ impl BuildOutcome {
             cache_hits: report.stats.cache_hits,
             cache_misses: report.stats.cache_misses,
             jobs: report.jobs,
-            image_hash: image_hash(&report.image),
+            image_hash,
             phases: report.phases.iter().map(|(n, d)| (n.to_string(), micros(d))).collect(),
             schedule: report.schedule.clone(),
             constraints: report
@@ -1089,27 +1099,51 @@ impl Response {
 
 const IMAGE_MAGIC: &[u8; 5] = b"KIMG1";
 
-struct ByteWriter(Vec<u8>);
+/// Where [`ByteWriter`] puts the image encoding's bytes: a buffer for the
+/// wire, or straight into a hash.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+}
 
-impl ByteWriter {
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// 64-bit FNV-1a over every byte put into it.
+struct Fnv(u64);
+
+impl Sink for Fnv {
+    fn put(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+struct ByteWriter<S>(S);
+
+impl<S: Sink> ByteWriter<S> {
     fn u8(&mut self, v: u8) {
-        self.0.push(v);
+        self.0.put(&[v]);
     }
     fn u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+        self.0.put(&v.to_le_bytes());
     }
     fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+        self.0.put(&v.to_le_bytes());
     }
     fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+        self.0.put(&v.to_le_bytes());
     }
     fn i64(&mut self, v: i64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+        self.0.put(&v.to_le_bytes());
     }
     fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
-        self.0.extend_from_slice(s.as_bytes());
+        self.0.put(s.as_bytes());
     }
     fn opt_reg(&mut self, r: Option<Reg>) {
         match r {
@@ -1212,7 +1246,7 @@ const BIN_OPS: [BinOp; 16] = [
 
 const UN_OPS: [UnOp; 3] = [UnOp::Neg, UnOp::Not, UnOp::BitNot];
 
-fn write_instr(w: &mut ByteWriter, i: &RInstr) {
+fn write_instr<S: Sink>(w: &mut ByteWriter<S>, i: &RInstr) {
     match i {
         RInstr::Const { dst, value } => {
             w.u8(0);
@@ -1353,9 +1387,14 @@ fn read_instr(r: &mut ByteReader) -> Result<RInstr, String> {
 /// `==` — every function, instruction, address, and data byte is covered.
 pub fn encode_image_bytes(img: &Image) -> Vec<u8> {
     let mut w = ByteWriter(Vec::with_capacity(4096));
-    w.0.extend_from_slice(IMAGE_MAGIC);
+    write_image(&mut w, img);
+    w.0
+}
+
+fn write_image<S: Sink>(w: &mut ByteWriter<S>, img: &Image) {
+    w.0.put(IMAGE_MAGIC);
     w.u32(img.funcs.len() as u32);
-    for f in &img.funcs {
+    for f in img.funcs.iter() {
         w.str(&f.name);
         w.u64(f.addr);
         w.u64(f.size);
@@ -1364,7 +1403,7 @@ pub fn encode_image_bytes(img: &Image) -> Vec<u8> {
         w.u32(f.frame_size);
         w.u32(f.body.len() as u32);
         for i in &f.body {
-            write_instr(&mut w, i);
+            write_instr(w, i);
         }
         for &a in &f.instr_addrs {
             w.u64(a);
@@ -1374,16 +1413,16 @@ pub fn encode_image_bytes(img: &Image) -> Vec<u8> {
         }
     }
     w.u32(img.addr_to_func.len() as u32);
-    for (&addr, &idx) in &img.addr_to_func {
+    for (&addr, &idx) in img.addr_to_func.iter() {
         w.u64(addr);
         w.u32(idx);
     }
     w.u32(img.data.len() as u32);
-    w.0.extend_from_slice(&img.data);
+    w.0.put(&img.data);
     w.u64(img.data_base);
     w.u64(img.heap_base);
     w.u32(img.symbols.len() as u32);
-    for (name, loc) in &img.symbols {
+    for (name, loc) in img.symbols.iter() {
         w.str(name);
         match loc {
             SymbolLoc::Func(i) => {
@@ -1408,7 +1447,6 @@ pub fn encode_image_bytes(img: &Image) -> Vec<u8> {
         }
         None => w.u8(0),
     }
-    w.0
 }
 
 /// Decode an image from its stable binary form.
@@ -1430,7 +1468,7 @@ pub fn decode_image_bytes(bytes: &[u8]) -> Result<Image, String> {
         let body = (0..nbody).map(|_| read_instr(&mut r)).collect::<Result<Vec<_>, _>>()?;
         let instr_addrs = (0..nbody).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
         let instr_sizes = (0..nbody).map(|_| r.u16()).collect::<Result<Vec<_>, _>>()?;
-        funcs.push(ImageFunc {
+        funcs.push(Arc::new(ImageFunc {
             name,
             addr,
             size,
@@ -1440,7 +1478,7 @@ pub fn decode_image_bytes(bytes: &[u8]) -> Result<Image, String> {
             body,
             instr_addrs,
             instr_sizes,
-        });
+        }));
     }
     let mut addr_to_func = BTreeMap::new();
     for _ in 0..r.u32()? {
@@ -1472,12 +1510,12 @@ pub fn decode_image_bytes(bytes: &[u8]) -> Result<Image, String> {
         return Err(format!("image: trailing garbage at byte {}", r.pos));
     }
     Ok(Image {
-        funcs,
-        addr_to_func,
+        funcs: funcs.into(),
+        addr_to_func: Arc::new(addr_to_func),
         data,
         data_base,
         heap_base,
-        symbols,
+        symbols: Arc::new(symbols),
         intrinsics,
         text_size,
         entry,
@@ -1514,14 +1552,12 @@ pub fn decode_image(hex: &str) -> Result<Image, String> {
 
 /// Stable 64-bit FNV-1a hash of an image's binary encoding. Two images
 /// hash equal exactly when they are byte-identical, so a client can check
-/// server builds against local ones without shipping the image.
+/// server builds against local ones without shipping the image. The
+/// encoding streams into the hash; no buffer holds it.
 pub fn image_hash(img: &Image) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in encode_image_bytes(img) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut w = ByteWriter(Fnv(0xcbf2_9ce4_8422_2325));
+    write_image(&mut w, img);
+    w.0 .0
 }
 
 // ---------------------------------------------------------------------------

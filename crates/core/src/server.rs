@@ -41,6 +41,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
+use cobj::Image;
+
 use crate::analyze::LintConfig;
 use crate::cache::BuildCache;
 use crate::driver::{default_jobs, BuildOptions};
@@ -59,6 +61,26 @@ struct SessionEntry {
     seq: Arc<AtomicU64>,
     /// Live watch subscriptions; pruned when a receiver hangs up.
     watchers: Arc<Mutex<Vec<mpsc::Sender<BuildEvent>>>>,
+    /// The last image built and its [`proto::image_hash`], so that an
+    /// image is hashed once however many builds return it.
+    hashed: Arc<Mutex<Option<(Image, u64)>>>,
+}
+
+impl SessionEntry {
+    /// [`proto::image_hash`] of `image`, from the last build's when the
+    /// image is the same. (Images share their tables between builds, so
+    /// comparing an unchanged image is a handful of pointer compares.)
+    fn image_hash(&self, image: &Image) -> u64 {
+        let mut hashed = self.hashed.lock().unwrap_or_else(|e| e.into_inner());
+        match &*hashed {
+            Some((last, hash)) if last == image => *hash,
+            _ => {
+                let hash = proto::image_hash(image);
+                *hashed = Some((image.clone(), hash));
+                hash
+            }
+        }
+    }
 }
 
 struct Shared {
@@ -191,6 +213,7 @@ impl Engine {
                         handle: handle.clone(),
                         seq: Arc::new(AtomicU64::new(0)),
                         watchers: Arc::new(Mutex::new(Vec::new())),
+                        hashed: Arc::new(Mutex::new(None)),
                     },
                 );
                 Ok((handle, true))
@@ -269,7 +292,8 @@ impl Engine {
                     let seq = entry.seq.fetch_add(1, Ordering::SeqCst) + 1;
                     match result {
                         (Ok(report), watched) => {
-                            let outcome = BuildOutcome::from_report(&report, watched);
+                            let hash = entry.image_hash(&report.image);
+                            let outcome = BuildOutcome::with_hash(&report, watched, hash);
                             self.emit(
                                 &entry,
                                 BuildEvent {

@@ -31,8 +31,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cobj::fnv::FnvMap;
-use cobj::object::{ObjectFile, ObjectRef, Symbol};
-use cobj::{InputRef, Layout, LinkOptions};
+use cobj::object::{ObjectFile, ObjectRef, SymDef, SymKind, Symbol};
+use cobj::{InputKey, InputRef, Layout, LinkMemo, LinkOptions};
 use knit_lang::ast::{
     COp, CTarget, CTerm, Constraint, DepAtom, DepSide, PathRef, UnitBody, UnitDecl,
 };
@@ -92,6 +92,18 @@ pub struct SessionStats {
     /// Per-unit analysis summaries ([`BuildSession::analyze`])
     /// executions/reuses.
     pub analyze: PhaseCount,
+    /// Per-unit link tables (the naming facts objcopy renames by)
+    /// computed/reused. A table is reused while its unit's compiled
+    /// objects and initializers and the elaboration are unchanged.
+    pub unit_links: PhaseCount,
+    /// Per-instance objcopy fingerprints computed/reused. A fingerprint is
+    /// reused while its unit's link table and the elaboration are
+    /// unchanged.
+    pub objcopy_fingerprints: PhaseCount,
+    /// Final-link symbol resolutions run/reused, counted when the link
+    /// runs. The resolution is reused while every object's symbol table
+    /// and the runtime symbols are unchanged.
+    pub link_resolution: PhaseCount,
 }
 
 /// Memoized compile artifact for one distinct unit, plus the ledger needed
@@ -124,6 +136,9 @@ struct Counts {
 /// root export map.
 type BootArtifact = (ObjectFile, BTreeMap<String, String>);
 
+/// A flatten group's object and its symbol-table fingerprint.
+type FlatObject = (Arc<ObjectFile>, u64);
+
 /// One `objcopy` output: an object of a compiled unit under one instance's
 /// link-level names. Only the symbol table is the instance's own; text and
 /// data stay in the compiled unit, shared by every instance.
@@ -137,6 +152,9 @@ struct RenamedObject {
     unit: Arc<CompiledUnit>,
     /// Which of the unit's objects this is.
     index: usize,
+    /// The object's linker fingerprints (zero in a build that keeps no
+    /// memo, which links without them).
+    key: InputKey,
 }
 
 impl RenamedObject {
@@ -146,20 +164,58 @@ impl RenamedObject {
     }
 }
 
+/// One instance's memoized objcopy: the renamed objects, the fingerprint
+/// of their inputs, and the key that fingerprint was computed under.
+#[derive(Debug)]
+struct ObjcopyMemo {
+    /// The instance's unit's link-table key: while it matches, so does
+    /// `fp`.
+    key: u64,
+    fp: u64,
+    objs: Arc<[RenamedObject]>,
+}
+
+/// The program's phase fingerprints, valid until the program or the
+/// options change (a session drops them then).
+#[derive(Debug)]
+struct ProgramFps {
+    elaborate: u64,
+    constraints: u64,
+    schedule: u64,
+    /// Per distinct instantiated unit, in name order: [`fp_unit_decl`].
+    decls: Vec<u64>,
+    /// Per distinct instantiated unit, in name order: [`fp_unit_links`].
+    links: Vec<u64>,
+}
+
 /// Memoized per-phase artifacts of the previous build. Every entry is
 /// keyed by a fingerprint of that phase's complete input; `run_build`
 /// reuses an entry only when the fingerprint matches exactly. Artifacts
 /// are shared (`Arc`), never copied, between the memo and a running build.
 #[derive(Debug, Default)]
 pub(crate) struct Memo {
+    /// Whether the memo outlives the build (a session's does). Only then
+    /// are the memos that serve only later builds filled: program
+    /// fingerprints, link tables, linker fingerprints and tables, and the
+    /// watched-path union.
+    keep: bool,
+    fps: Option<ProgramFps>,
     elaborate: Option<(u64, Arc<Elaboration>)>,
     constraints: Option<(u64, Option<ConstraintReport>)>,
-    schedule: Option<(u64, Arc<Schedule>)>,
+    /// The schedule, and its `path.func` rendering for reports.
+    schedule: Option<(u64, Arc<Schedule>, Arc<Vec<String>>)>,
     units: BTreeMap<String, UnitMemo>,
-    /// Per instance id: fingerprint and renamed objects.
-    objcopy: Vec<Option<(u64, Arc<[RenamedObject]>)>>,
-    flatten: BTreeMap<usize, (u64, Arc<ObjectFile>)>,
+    /// How many unit memos read each path: the watched-path union, kept
+    /// as the memos come and go.
+    watched: BTreeMap<String, usize>,
+    /// Per unit name: link-table key and tables.
+    links: FnvMap<String, (u64, Arc<UnitLinks>)>,
+    /// Per instance id.
+    objcopy: Vec<Option<ObjcopyMemo>>,
+    /// Per flatten group: fingerprint, object, symbol-table fingerprint.
+    flatten: BTreeMap<usize, (u64, Arc<ObjectFile>, u64)>,
     boot: Option<(u64, Arc<BootArtifact>)>,
+    linker: LinkMemo,
     /// Fingerprint of the link that produced `report`'s image. (The image
     /// itself lives only in the report: nothing after the link can fail,
     /// so the two always come from the same build.)
@@ -168,6 +224,49 @@ pub(crate) struct Memo {
     opts_fp: Option<u64>,
     counts: Counts,
     analysis: BTreeMap<String, AnalysisMemo>,
+}
+
+impl Memo {
+    /// Record a unit's compile memo, replacing any earlier one.
+    fn insert_unit(&mut self, name: &str, m: UnitMemo) {
+        if self.keep {
+            for path in &m.reads {
+                *self.watched.entry(path.clone()).or_insert(0) += 1;
+            }
+        }
+        if let Some(old) = self.units.insert(name.to_string(), m) {
+            self.unwatch(&old);
+        }
+    }
+
+    /// Drop every unit memo that read a path in `dirty`.
+    fn evict_units(&mut self, dirty: &BTreeSet<String>) {
+        let stale: Vec<String> = self
+            .units
+            .iter()
+            .filter(|(_, m)| !m.reads.is_disjoint(dirty))
+            .map(|(name, _)| name.clone())
+            .collect();
+        for name in stale {
+            if let Some(m) = self.units.remove(&name) {
+                self.unwatch(&m);
+            }
+        }
+    }
+
+    fn unwatch(&mut self, m: &UnitMemo) {
+        if !self.keep {
+            return;
+        }
+        for path in &m.reads {
+            if let Some(n) = self.watched.get_mut(path) {
+                *n -= 1;
+                if *n == 0 {
+                    self.watched.remove(path);
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -411,6 +510,45 @@ pub(crate) fn fp_unit_decl(program: &Program, unit: &UnitDecl, opts: &BuildOptio
     h.finish()
 }
 
+/// Fingerprint of what a unit's link tables read of its declaration that
+/// neither its compile-cache key (objects, renames) nor the elaboration
+/// fingerprint (ports, bundle types) covers: its initializer and
+/// finalizer names.
+fn fp_unit_links(unit: &UnitDecl) -> u64 {
+    let body = atomic_body(unit);
+    let mut h = StableHasher::new();
+    h.write_str("links");
+    for d in body.initializers.iter().chain(&body.finalizers) {
+        h.write_str(&d.func);
+    }
+    h.finish()
+}
+
+/// Fingerprint of a symbol table: every entry's name and definition, in
+/// order — what the linker's resolution reads of an object.
+fn fp_symbols(symbols: &[Symbol]) -> u64 {
+    let mut h = StableHasher::new();
+    for s in symbols {
+        h.write_str(&s.name);
+        h.write_str(match s.def {
+            SymDef::Undefined => "u",
+            SymDef::Defined { kind: SymKind::Func, local: false } => "f",
+            SymDef::Defined { kind: SymKind::Func, local: true } => "lf",
+            SymDef::Defined { kind: SymKind::Data, local: false } => "d",
+            SymDef::Defined { kind: SymKind::Data, local: true } => "ld",
+        });
+    }
+    h.finish()
+}
+
+/// Two fingerprints as one.
+fn mix(a: u64, b: u64) -> u64 {
+    let mut h = StableHasher::new();
+    h.write_u64(a);
+    h.write_u64(b);
+    h.finish()
+}
+
 /// Fingerprint of every build-relevant option. [`BuildOptions::jobs`] is
 /// deliberately excluded: parallelism never changes the produced image, so
 /// changing it must not invalidate anything.
@@ -486,11 +624,14 @@ pub(crate) fn run_build(
     // reached by this build's root, which would otherwise go stale
     // silently and resurface if the root later changes back.
     if !dirty.is_empty() {
-        memo.units.retain(|_, m| m.reads.is_disjoint(dirty));
+        memo.evict_units(dirty);
     }
+    // Fingerprints the memo holds are still those of this program and
+    // these options (a session drops them on any change).
+    let known = memo.fps.take();
 
     // --- elaborate ---
-    let el_fp = fp_elaborate(program, &opts.root);
+    let el_fp = known.as_ref().map_or_else(|| fp_elaborate(program, &opts.root), |f| f.elaborate);
     let el: Arc<Elaboration> = match &memo.elaborate {
         Some((fp, el)) if *fp == el_fp => {
             stats.elaborate.reuses += 1;
@@ -506,7 +647,8 @@ pub(crate) fn run_build(
     phase!("elaborate");
 
     // --- constraints ---
-    let c_fp = fp_constraints(program, el_fp, opts);
+    let c_fp =
+        known.as_ref().map_or_else(|| fp_constraints(program, el_fp, opts), |f| f.constraints);
     let constraint_report = match &memo.constraints {
         Some((fp, rep)) if *fp == c_fp => {
             stats.constraints.reuses += 1;
@@ -527,17 +669,18 @@ pub(crate) fn run_build(
 
     // --- schedule ---
     let decls = instantiated_units(program, &el);
-    let s_fp = fp_schedule(&decls, el_fp);
-    let schedule: Arc<Schedule> = match &memo.schedule {
-        Some((fp, s)) if *fp == s_fp => {
+    let s_fp = known.as_ref().map_or_else(|| fp_schedule(&decls, el_fp), |f| f.schedule);
+    let (schedule, described) = match &memo.schedule {
+        Some((fp, s, d)) if *fp == s_fp => {
             stats.schedule.reuses += 1;
-            Arc::clone(s)
+            (Arc::clone(s), Arc::clone(d))
         }
         _ => {
             stats.schedule.runs += 1;
             let s = Arc::new(sched::schedule(program, &el)?);
-            memo.schedule = Some((s_fp, Arc::clone(&s)));
-            s
+            let d = Arc::new(s.describe(&el));
+            memo.schedule = Some((s_fp, Arc::clone(&s), Arc::clone(&d)));
+            (s, d)
         }
     };
     phase!("schedule");
@@ -555,16 +698,25 @@ pub(crate) fn run_build(
             inst_unit[id] = ui;
         }
     }
-    let mut decl_fps: Vec<u64> = Vec::with_capacity(distinct.len());
-    let mut to_compile: Vec<usize> = Vec::new();
-    for (ui, name) in distinct.iter().enumerate() {
-        let decl_fp = fp_unit_decl(program, decls[ui], opts);
-        let reusable = matches!(memo.units.get(*name), Some(m) if m.decl_fp == decl_fp);
-        decl_fps.push(decl_fp);
-        if !reusable {
-            to_compile.push(ui);
-        }
-    }
+    let fps = match known {
+        Some(f) => f,
+        None => ProgramFps {
+            elaborate: el_fp,
+            constraints: c_fp,
+            schedule: s_fp,
+            decls: decls.iter().map(|d| fp_unit_decl(program, d, opts)).collect(),
+            // Only a kept memo ever looks a link table up again.
+            links: match memo.keep {
+                true => decls.iter().map(|d| fp_unit_links(d)).collect(),
+                false => vec![0; decls.len()],
+            },
+        },
+    };
+    let to_compile: Vec<usize> = (0..distinct.len())
+        .filter(
+            |&ui| !matches!(memo.units.get(distinct[ui]), Some(m) if m.decl_fp == fps.decls[ui]),
+        )
+        .collect();
     let compile_results = run_indexed(opts.jobs, to_compile.len(), |i| {
         let start = Instant::now();
         let r = compile_unit_cached(program, tree, decls[to_compile[i]], opts, cache);
@@ -594,9 +746,9 @@ pub(crate) fn run_build(
             });
             compiled.push(Arc::clone(&ub.cu));
             unit_keys.push(ub.key);
-            memo.units.insert(
-                name.to_string(),
-                UnitMemo { decl_fp: decl_fps[ui], key: ub.key, cu: ub.cu, reads: ub.reads },
+            memo.insert_unit(
+                name,
+                UnitMemo { decl_fp: fps.decls[ui], key: ub.key, cu: ub.cu, reads: ub.reads },
             );
         } else {
             let m = &memo.units[*name];
@@ -613,19 +765,43 @@ pub(crate) fn run_build(
     }
     phase!("compile");
 
-    // --- per-instance symbol maps (always recomputed — cheap, and every
-    //     later fingerprint hashes them) + objcopy rename/duplicate ---
-    // The naming facts are computed once per unit (concurrently, like
-    // compiles), then checked in instance order so that the first failing
-    // instance reports the error; an instance's map only adds its own
-    // mangles, spelled on demand. Bundle members come from one hash index
-    // instead of a tree probe per port.
-    let members: FnvMap<&str, &[String]> =
-        program.bundletypes.iter().map(|(k, v)| (k.as_str(), v.as_slice())).collect();
-    let links: Vec<Result<UnitLinks<'_>, KnitError>> =
-        run_indexed(opts.jobs, distinct.len(), |ui| {
-            UnitLinks::new(decls[ui], |bt| members[bt], &compiled[ui])
-        });
+    // --- per-unit link tables + per-instance objcopy rename/duplicate ---
+    // A unit's naming facts are computed once per unit (concurrently, like
+    // compiles) and kept while its compiled objects and link-relevant
+    // declaration are unchanged; they are checked in instance order so
+    // that the first failing instance reports the error. An instance's map
+    // only adds its own mangles, spelled on demand. Bundle members come
+    // from one hash index instead of a tree probe per port.
+    let link_keys: Vec<u64> =
+        unit_keys.iter().zip(&fps.links).map(|(&k, &l)| mix(mix(k, el_fp), l)).collect();
+    let stale: Vec<usize> = (0..distinct.len())
+        .filter(|&ui| !matches!(memo.links.get(distinct[ui]), Some((k, _)) if *k == link_keys[ui]))
+        .collect();
+    let members: FnvMap<&str, &[String]> = if stale.is_empty() {
+        FnvMap::default()
+    } else {
+        program.bundletypes.iter().map(|(k, v)| (k.as_str(), v.as_slice())).collect()
+    };
+    let mut computed = run_indexed(opts.jobs, stale.len(), |i| {
+        let ui = stale[i];
+        UnitLinks::new(decls[ui], |bt| members[bt], &compiled[ui]).map(Arc::new)
+    })
+    .into_iter();
+    stats.unit_links.runs += stale.len();
+    stats.unit_links.reuses += distinct.len() - stale.len();
+    let mut stale = stale.into_iter().peekable();
+    let mut links: Vec<Result<Arc<UnitLinks>, KnitError>> = Vec::with_capacity(distinct.len());
+    for (ui, name) in distinct.iter().enumerate() {
+        if stale.next_if_eq(&ui).is_none() {
+            links.push(Ok(Arc::clone(&memo.links[*name].1)));
+            continue;
+        }
+        let l = computed.next().expect("one table per stale unit");
+        if let (true, Ok(l)) = (memo.keep, &l) {
+            memo.links.insert(name.to_string(), (link_keys[ui], Arc::clone(l)));
+        }
+        links.push(l);
+    }
     for inst in &el.instances {
         let at_site = |e: KnitError| match program.unit_site(&inst.unit) {
             Some((file, span)) => {
@@ -646,7 +822,7 @@ pub(crate) fn run_build(
             }
         }
     }
-    let links: Vec<UnitLinks<'_>> =
+    let links: Vec<Arc<UnitLinks>> =
         links.into_iter().map(|l| l.expect("every unit's instances were checked")).collect();
     let maps: Vec<SymbolMap<'_>> =
         el.instances.iter().map(|inst| links[inst_unit[inst.id]].instance(inst)).collect();
@@ -659,33 +835,51 @@ pub(crate) fn run_build(
             flattened[id] = !compiled[inst_unit[id]].sources.is_empty();
         }
     }
-    // Fingerprint every objcopy input, rename the misses (both
-    // concurrently), then merge in instance order: link order and the
-    // first reported error never depend on `jobs`.
+    // Fingerprint every objcopy input whose key changed, rename the misses
+    // (both concurrently), then merge in instance order: link order and
+    // the first reported error never depend on `jobs`.
     let copied: Vec<usize> = (0..el.instances.len()).filter(|&id| !flattened[id]).collect();
-    let fps: Vec<u64> = run_indexed(opts.jobs, copied.len(), |i| {
-        let inst = &el.instances[copied[i]];
+    if memo.objcopy.len() < el.instances.len() {
+        memo.objcopy.resize_with(el.instances.len(), || None);
+    }
+    // A unit's link-table key covers the elaboration, so it also keys
+    // its instances' fingerprints.
+    let fp_keys: Vec<u64> = copied.iter().map(|&id| link_keys[inst_unit[id]]).collect();
+    let unknown: Vec<usize> = (0..copied.len())
+        .filter(|&i| !matches!(&memo.objcopy[copied[i]], Some(m) if m.key == fp_keys[i]))
+        .collect();
+    let mut new_fps = run_indexed(opts.jobs, unknown.len(), |j| {
+        let inst = &el.instances[copied[unknown[j]]];
         let mut h = StableHasher::new();
         h.write_str("objcopy");
         h.write_u64(unit_keys[inst_unit[inst.id]]);
         h.write_str(&inst.path);
         maps[inst.id].hash_into(&mut h);
         h.finish()
-    });
-    if memo.objcopy.len() < el.instances.len() {
-        memo.objcopy.resize_with(el.instances.len(), || None);
-    }
+    })
+    .into_iter();
+    stats.objcopy_fingerprints.runs += unknown.len();
+    stats.objcopy_fingerprints.reuses += copied.len() - unknown.len();
+    let mut unknown = unknown.into_iter().peekable();
+    let fps_of: Vec<u64> = (0..copied.len())
+        .map(|i| match unknown.next_if_eq(&i) {
+            Some(_) => new_fps.next().expect("one fingerprint per unknown"),
+            None => memo.objcopy[copied[i]].as_ref().expect("key matched").fp,
+        })
+        .collect();
     let reused: Vec<Option<Arc<[RenamedObject]>>> = copied
         .iter()
-        .zip(&fps)
+        .zip(&fps_of)
         .map(|(&id, fp)| match &memo.objcopy[id] {
-            Some((f, objs)) if f == fp => Some(Arc::clone(objs)),
+            Some(m) if m.fp == *fp => Some(Arc::clone(&m.objs)),
             _ => None,
         })
         .collect();
     let misses: Vec<usize> = (0..copied.len()).filter(|&i| reused[i].is_none()).collect();
+    let keep = memo.keep;
     let fresh_objs = run_indexed(opts.jobs, misses.len(), |m| {
         let inst = &el.instances[copied[misses[m]]];
+        let fp = fps_of[misses[m]];
         let cu = &compiled[inst_unit[inst.id]];
         let map = &maps[inst.id];
         let mut objs: Vec<RenamedObject> = Vec::with_capacity(cu.objects.len());
@@ -696,11 +890,16 @@ pub(crate) fn run_build(
                         unit: inst.unit.to_string(),
                         what: format!("objcopy: {e}"),
                     })?;
+            let key = match keep {
+                true => InputKey { symbols: fp_symbols(&symbols), content: mix(fp, oi as u64) },
+                false => InputKey { symbols: 0, content: 0 },
+            };
             objs.push(RenamedObject {
                 name: format!("{}:{}", inst.path, obj.name),
                 symbols,
                 unit: Arc::clone(cu),
                 index: oi,
+                key,
             });
         }
         Ok::<Arc<[RenamedObject]>, KnitError>(objs.into())
@@ -708,7 +907,8 @@ pub(crate) fn run_build(
     let mut fresh_objs = fresh_objs.into_iter();
     let mut renamed: Vec<Arc<[RenamedObject]>> = Vec::with_capacity(copied.len());
     let mut objcopy_fps: Vec<(usize, u64)> = Vec::with_capacity(copied.len());
-    for ((&id, fp), reuse) in copied.iter().zip(fps).zip(reused) {
+    for (i, (&id, reuse)) in copied.iter().zip(reused).enumerate() {
+        let fp = fps_of[i];
         let objs = match reuse {
             Some(objs) => {
                 stats.objcopy.reuses += 1;
@@ -716,11 +916,10 @@ pub(crate) fn run_build(
             }
             None => {
                 stats.objcopy.runs += 1;
-                let objs = fresh_objs.next().expect("one result per miss")?;
-                memo.objcopy[id] = Some((fp, Arc::clone(&objs)));
-                objs
+                fresh_objs.next().expect("one result per miss")?
             }
         };
+        memo.objcopy[id] = Some(ObjcopyMemo { key: fp_keys[i], fp, objs: Arc::clone(&objs) });
         renamed.push(objs);
         objcopy_fps.push((id, fp));
     }
@@ -729,7 +928,7 @@ pub(crate) fn run_build(
     // --- flatten groups (§6): source-merge + recompile, one job per group ---
     let mut n_groups = 0usize;
     let mut group_fps: Vec<(usize, u64)> = Vec::new();
-    let mut flat_objects: Vec<Arc<ObjectFile>> = Vec::new();
+    let mut flat_objects: Vec<FlatObject> = Vec::new();
     if opts.flatten {
         let copts = flatten_opts(opts);
         // Decide reuse per group (gathering inputs — which re-parses every
@@ -737,7 +936,7 @@ pub(crate) fn run_build(
         // the missed groups concurrently and splice everything back in
         // group order so link order never depends on cache warmth.
         let mut pending: Vec<(usize, Vec<flatten::FlattenInput>, BTreeSet<String>)> = Vec::new();
-        let mut order: Vec<(usize, u64, Option<Arc<ObjectFile>>)> = Vec::new();
+        let mut order: Vec<(usize, u64, Option<FlatObject>)> = Vec::new();
         for (gi, group) in el.flatten_groups.iter().enumerate() {
             let group_set: BTreeSet<usize> =
                 group.iter().copied().filter(|&id| flattened[id]).collect();
@@ -766,9 +965,9 @@ pub(crate) fn run_build(
             group_fps.push((gi, fp));
             n_groups += 1;
             match memo.flatten.get(&gi) {
-                Some((f, obj)) if *f == fp => {
+                Some((f, obj, sym_fp)) if *f == fp => {
                     stats.flatten.reuses += 1;
-                    order.push((gi, fp, Some(Arc::clone(obj))));
+                    order.push((gi, fp, Some((Arc::clone(obj), *sym_fp))));
                 }
                 _ => {
                     stats.flatten.runs += 1;
@@ -797,9 +996,10 @@ pub(crate) fn run_build(
                 None => {
                     let mut obj = flat_iter.next().expect("one result per pending group")?;
                     obj.name = format!("flatten-group-{gi}.o");
+                    let sym_fp = if keep { fp_symbols(&obj.symbols) } else { 0 };
                     let obj = Arc::new(obj);
-                    memo.flatten.insert(gi, (fp, Arc::clone(&obj)));
-                    obj
+                    memo.flatten.insert(gi, (fp, Arc::clone(&obj), sym_fp));
+                    (obj, sym_fp)
                 }
             };
             flat_objects.push(obj);
@@ -892,19 +1092,39 @@ pub(crate) fn run_build(
             for objs in &renamed {
                 inputs.extend(objs.iter().map(|o| InputRef::Object(o.view())));
             }
-            inputs.extend(flat_objects.iter().map(|o| InputRef::Object(o.view())));
+            inputs.extend(flat_objects.iter().map(|(o, _)| InputRef::Object(o.view())));
             let layout = match &opts.profile {
                 Some(p) => Layout::ProfileGuided(p.as_ref().clone()),
                 None => Layout::InputOrder,
             };
-            let image = cobj::link_refs(
-                &inputs,
-                &LinkOptions {
-                    entry: Some("__start".to_string()),
-                    runtime_symbols: opts.runtime_symbols.clone(),
-                    layout,
-                },
-            )?;
+            let link_opts = LinkOptions {
+                entry: Some("__start".to_string()),
+                runtime_symbols: opts.runtime_symbols.clone(),
+                layout,
+            };
+            let image =
+                if memo.keep {
+                    // A session links against its previous link: every object
+                    // carries its fingerprints, computed when it was made.
+                    let mut keys: Vec<InputKey> = Vec::with_capacity(n_objects);
+                    keys.push(InputKey { symbols: boot_fp, content: boot_fp });
+                    for objs in &renamed {
+                        keys.extend(objs.iter().map(|o| o.key));
+                    }
+                    keys.extend(flat_objects.iter().zip(&group_fps).map(
+                        |((_, symbols), (_, fp))| InputKey { symbols: *symbols, content: *fp },
+                    ));
+                    let image = memo.linker.link(&inputs, &keys, &link_opts)?;
+                    if memo.linker.reused_resolution() {
+                        stats.link_resolution.reuses += 1;
+                    } else {
+                        stats.link_resolution.runs += 1;
+                    }
+                    image
+                } else {
+                    stats.link_resolution.runs += 1;
+                    cobj::link_refs(&inputs, &link_opts)?
+                };
             memo.link = Some(link_fp);
             image
         }
@@ -923,10 +1143,16 @@ pub(crate) fn run_build(
         cache_misses,
     };
     memo.counts = Counts { units: distinct.len(), objcopy: objcopy_fps.len(), groups: n_groups };
+    if memo.keep {
+        memo.fps = Some(fps);
+    } else {
+        // A one-shot build's memo dies with it: move the schedule out.
+        memo.schedule = None;
+    }
     Ok(BuildReport {
         image,
         phases,
-        schedule: schedule.describe(&el),
+        schedule: Arc::try_unwrap(described).unwrap_or_else(|d| d.as_ref().clone()),
         constraints: constraint_report,
         exports: boot.1.clone(),
         stats: build_stats,
@@ -1005,7 +1231,7 @@ impl BuildSession {
             tree,
             opts,
             cache: BuildCache::new(),
-            memo: Memo::default(),
+            memo: Memo { keep: true, ..Memo::default() },
             stats: SessionStats::default(),
             dirty: BTreeSet::new(),
             analysis_dirty: BTreeSet::new(),
@@ -1026,7 +1252,7 @@ impl BuildSession {
     /// [`BuildSession::update_unit`] to *replace* a file's declarations.
     pub fn load_units(&mut self, file: &str, src: &str) -> Result<(), KnitError> {
         self.program.load_str(file, src)?;
-        self.program_dirty = true;
+        self.program_changed();
         Ok(())
     }
 
@@ -1036,8 +1262,14 @@ impl BuildSession {
     /// a comment or body-whitespace edit reruns nothing.
     pub fn update_unit(&mut self, file: &str, src: &str) -> Result<(), KnitError> {
         self.program.update_str(file, src)?;
-        self.program_dirty = true;
+        self.program_changed();
         Ok(())
+    }
+
+    /// The program changed: the next build recomputes its fingerprints.
+    fn program_changed(&mut self) {
+        self.program_dirty = true;
+        self.memo.fps = None;
     }
 
     /// Add or replace one C source or header. A no-op when `text` matches
@@ -1056,6 +1288,7 @@ impl BuildSession {
     /// rerun; changing [`BuildOptions::jobs`] alone invalidates nothing.
     pub fn set_options(&mut self, opts: BuildOptions) {
         self.opts = opts;
+        self.memo.fps = None;
     }
 
     /// Replace the layout profile ([`BuildOptions::profile`]). Placement
@@ -1140,7 +1373,7 @@ impl BuildSession {
         };
         let s_fp = fp_schedule(&instantiated_units(&self.program, &el), el_fp);
         let schedule: Arc<Schedule> = match &self.memo.schedule {
-            Some((fp, s)) if *fp == s_fp => {
+            Some((fp, s, _)) if *fp == s_fp => {
                 self.stats.schedule.reuses += 1;
                 Arc::clone(s)
             }
@@ -1149,7 +1382,8 @@ impl BuildSession {
                 match sched::schedule(&self.program, &el) {
                     Ok(s) => {
                         let s = Arc::new(s);
-                        self.memo.schedule = Some((s_fp, Arc::clone(&s)));
+                        let d = Arc::new(s.describe(&el));
+                        self.memo.schedule = Some((s_fp, Arc::clone(&s), d));
                         s
                     }
                     Err(e) => return restore(self, dirty, e),
@@ -1190,6 +1424,8 @@ impl BuildSession {
                 self.stats.flatten.reuses += self.memo.counts.groups;
                 self.stats.generate.reuses += 1;
                 self.stats.link.reuses += 1;
+                self.stats.unit_links.reuses += self.memo.counts.units;
+                self.stats.objcopy_fingerprints.reuses += self.memo.counts.objcopy;
                 let mut r = report.clone();
                 for p in &mut r.phases {
                     p.1 = Duration::ZERO;
@@ -1238,11 +1474,7 @@ impl BuildSession {
     /// a rebuild). This is what a file watcher should poll instead of the
     /// whole source tree; `knitc --watch` does exactly that.
     pub fn watched_paths(&self) -> Vec<String> {
-        let mut all = BTreeSet::new();
-        for memo in self.memo.units.values() {
-            all.extend(memo.reads.iter().cloned());
-        }
-        all.into_iter().collect()
+        self.memo.watched.keys().cloned().collect()
     }
 }
 

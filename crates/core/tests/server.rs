@@ -371,3 +371,52 @@ fn lint_over_the_wire_is_byte_identical_and_memoized() {
     ok(&mut conn, &Request::Shutdown);
     handle.join().expect("clean shutdown");
 }
+
+/// Hostile C nesting reaches the compiler through one `update_source`
+/// and a `build`, which compiles inline on the connection worker — a
+/// plain 2 MiB thread. It must come back as a K0013 compile diagnostic,
+/// never a stack overflow that kills every session, and the session must
+/// build again after a fix-up edit.
+#[test]
+fn hostile_nesting_is_a_diagnostic_not_a_crash() {
+    let worker = std::thread::Builder::new().stack_size(2 << 20).spawn(|| {
+        let engine = Engine::new();
+        let s = "hostile".to_string();
+        let handle = |req: Request| engine.handle(&req);
+        assert_eq!(handle(Request::Open { session: s.clone(), options: options() }), {
+            Response::Opened { created: true }
+        });
+        handle(Request::LoadUnits {
+            session: s.clone(),
+            file: "t.unit".into(),
+            text: UNITS.into(),
+        });
+        handle(Request::UpdateSource {
+            session: s.clone(),
+            path: "app.c".into(),
+            text: APP_C.into(),
+        });
+        for depth in [1_000, 100_000] {
+            let text =
+                format!("int value() {{ return {}1{}; }}\n", "(".repeat(depth), ")".repeat(depth));
+            handle(Request::UpdateSource { session: s.clone(), path: "value.c".into(), text });
+            match handle(Request::Build { session: s.clone(), want_image: false }) {
+                Response::Error { diagnostics } => {
+                    assert_eq!(diagnostics[0].code, "K0013", "{}", diagnostics[0].human());
+                    assert!(diagnostics[0].message.contains("nesting deeper than"));
+                }
+                other => panic!("depth {depth}: expected a compile error, got {other:?}"),
+            }
+        }
+        handle(Request::UpdateSource {
+            session: s.clone(),
+            path: "value.c".into(),
+            text: value_c(4),
+        });
+        match handle(Request::Build { session: s, want_image: false }) {
+            Response::Built { outcome, .. } => assert_eq!(outcome.units_compiled, 1),
+            other => panic!("the fixed session must build, got {other:?}"),
+        }
+    });
+    worker.expect("spawn").join().expect("the worker survives hostile nesting");
+}

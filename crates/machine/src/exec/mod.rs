@@ -147,11 +147,16 @@ pub(crate) struct UOp {
 }
 
 /// Predecoded body of one function: the micro-op stream, the call-argument
-/// register arena, and the fetch-straddle arena.
+/// register arena, the fetch-straddle arena, and the frame geometry a
+/// call needs (so a call reads the plan it runs, not the image).
 pub(crate) struct CodePlan {
     pub(crate) ops: Vec<UOp>,
     pub(crate) call_args: Vec<Reg>,
     pub(crate) rest: Vec<(u32, u64)>,
+    /// Stack frame size, rounded up to 16 bytes.
+    pub(crate) frame_bytes: u64,
+    pub(crate) nregs: u32,
+    pub(crate) params: u32,
 }
 
 /// Encode an optional register so 0 means "none" (register `r` becomes
@@ -347,7 +352,14 @@ impl CodePlan {
                         .expect("per-instruction static cost fits u32");
                     ops.push(op);
                 }
-                CodePlan { ops, call_args, rest }
+                CodePlan {
+                    ops,
+                    call_args,
+                    rest,
+                    frame_bytes: ((f.frame_size as u64) + 15) & !15,
+                    nregs: f.nregs,
+                    params: f.params,
+                }
             })
             .collect()
     }
@@ -384,19 +396,19 @@ impl Machine {
             self.buf_pool.push(std::mem::take(&mut args));
             return Err(Fault::CallDepthExceeded);
         }
-        let func = &image.funcs[fi as usize];
-        let frame_bytes = ((func.frame_size as u64) + 15) & !15;
+        let plan = &self.fetch_plans[fi as usize];
+        let (frame_bytes, nregs, params) = (plan.frame_bytes, plan.nregs, plan.params);
         if self.sp < self.stack_base + frame_bytes {
             self.buf_pool.push(std::mem::take(&mut args));
-            return Err(Fault::StackOverflow { func: func.name.clone() });
+            return Err(Fault::StackOverflow { func: image.funcs[fi as usize].name.clone() });
         }
         let saved_sp = self.sp;
         self.sp -= frame_bytes;
         let frame_base = self.sp;
         let mut regs = self.take_buf();
         regs.clear();
-        regs.resize(func.nregs as usize, 0);
-        let n = (func.params as usize).min(args.len()).min(regs.len());
+        regs.resize(nregs as usize, 0);
+        let n = (params as usize).min(args.len()).min(regs.len());
         regs[..n].copy_from_slice(&args[..n]);
         Ok(Frame { func: fi, pc: 0, regs, args, ret_dst, saved_sp, frame_base })
     }
